@@ -7,12 +7,12 @@
 //! * **method**: modular vs direct vs Lavagno,
 //! * **parallelism**: serial vs `--jobs 4` (must produce *identical*
 //!   reports),
-//! * **SAT configuration**: the default solver vs each member of the
-//!   standard portfolio (Activity+learning, Jeroslow-Wang chronological,
-//!   MOMS chronological),
-//! * **SAT engine**: the default CDCL core vs the classic DPLL engine vs
-//!   lookahead cube-and-conquer — three independent deciders over the
-//!   same CSC encodings must synthesise observation-equivalent circuits.
+//! * **SAT configuration**: the default solver vs three single-solver
+//!   referee configurations of the classic engine (Activity+learning,
+//!   Jeroslow-Wang chronological, MOMS chronological),
+//! * **SAT engine**: the default CDCL core vs the classic DPLL engine —
+//!   independent deciders over the same CSC encodings must synthesise
+//!   observation-equivalent circuits.
 //!
 //! Every success must pass the independent oracle
 //! ([`modsyn_check::verify_solution`]: consistency, CSC, speed
@@ -43,7 +43,7 @@ use modsyn::{certify_report, Engine, Method, SynthesisError, SynthesisOptions, S
 use modsyn_bench::TABLE1_BACKTRACK_LIMIT;
 use modsyn_check::{check_equivalence, gen_recipe, Profile, StgRecipe};
 use modsyn_corpus::{corpus_case, gen_asym, gen_corpus, AsymRecipe, CorpusRecipe, Expectation};
-use modsyn_sat::{standard_portfolio, SolverOptions};
+use modsyn_sat::{Heuristic, SolverOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::{benchmarks, Stg};
 
@@ -60,7 +60,18 @@ fn configs(limit: u64) -> Vec<Config> {
         max_backtracks: Some(limit),
         ..SolverOptions::default()
     };
-    let mut list = vec![
+    let referee = |label: &str, heuristic: Heuristic, learning: bool| Config {
+        label: format!("modular/dpll-{label}"),
+        method: Method::Modular,
+        solver: SolverOptions {
+            heuristic,
+            learning,
+            ..base
+        },
+        engine: Engine::Dpll,
+        jobs: 1,
+    };
+    vec![
         Config {
             label: "modular/serial".into(),
             method: Method::Modular,
@@ -90,30 +101,18 @@ fn configs(limit: u64) -> Vec<Config> {
             jobs: 1,
         },
         Config {
-            label: "direct/cnc".into(),
-            method: Method::Direct,
-            solver: base,
-            engine: Engine::cnc(),
-            jobs: 1,
-        },
-        Config {
             label: "lavagno/serial".into(),
             method: Method::Lavagno,
             solver: base,
             engine: Engine::default(),
             jobs: 1,
         },
-    ];
-    for (i, solver) in standard_portfolio(base).into_iter().enumerate() {
-        list.push(Config {
-            label: format!("modular/portfolio{i}"),
-            method: Method::Modular,
-            solver,
-            engine: Engine::Dpll,
-            jobs: 1,
-        });
-    }
-    list
+        // Single-solver referees: the classic engine under three decision
+        // heuristics, with and without learning.
+        referee("activity-learning", Heuristic::Activity, true),
+        referee("jw-chrono", Heuristic::JeroslowWang, false),
+        referee("moms-chrono", Heuristic::Moms, false),
+    ]
 }
 
 /// A failure is legitimate when it is one of the typed capacity/class

@@ -1,10 +1,9 @@
 //! `modsat` — solve a DIMACS CNF file.
 //!
 //! ```text
-//! modsat <file.cnf | -> [--engine dpll|cdcl|cnc] [--cube-depth N]
-//!        [--cube-cutoff N] [--jobs N] [--chrono]
+//! modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono]
 //!        [--heuristic first|jw|moms|activity] [--max-backtracks N]
-//!        [--timeout-ms T] [--portfolio] [--stats]
+//!        [--timeout-ms T] [--stats]
 //! ```
 //!
 //! Prints `s SATISFIABLE` + a `v` model line, `s UNSATISFIABLE`, or
@@ -14,40 +13,27 @@
 //!
 //! `--engine` selects the SAT core: `cdcl` (default) is the modern
 //! conflict-driven core, `dpll` the classic chronological engine
-//! (`--chrono`/`--heuristic` apply only there), and `cnc` lookahead
-//! cube-and-conquer over the CDCL core (`--cube-depth`, `--cube-cutoff`
-//! shape the cubes; `--jobs` sizes the conquer pool, 0 = all cores).
-//! `--portfolio` races the selected engine against the classic
-//! configuration portfolio; `--timeout-ms` aborts cooperatively after
-//! `T` milliseconds. With `--engine cnc`, `--max-backtracks` is a
-//! *per-cube* conflict budget (cubes partition the search space).
+//! (`--chrono`/`--heuristic` apply only there). `--timeout-ms` aborts
+//! cooperatively after `T` milliseconds.
 
 use std::io::Read as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use modsyn_cnc::{solve_engine_portfolio_traced, solve_with_engine, Engine};
+use modsyn_cnc::{solve_with_engine, Engine};
 use modsyn_fault::Faults;
-use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::{
-    parse_dimacs, solve_portfolio, standard_portfolio, Heuristic, Lit, Outcome, SolverOptions, Var,
-};
+use modsyn_sat::{parse_dimacs, Heuristic, Lit, Outcome, SolverOptions, Var};
 
-const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl|cnc] [--cube-depth N] \
-                     [--cube-cutoff N] [--jobs N] [--chrono] \
+const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono] \
                      [--heuristic first|jw|moms|activity] [--max-backtracks N] [--timeout-ms T] \
-                     [--portfolio] [--stats]";
+                     [--stats]";
 
 fn main() -> ExitCode {
     let mut source = String::new();
     let mut options = SolverOptions::default();
     let mut engine = Engine::default();
-    let mut cube_depth: Option<u32> = None;
-    let mut cube_cutoff: Option<u32> = None;
-    let mut jobs: Option<u32> = None;
     let mut show_stats = false;
-    let mut portfolio = false;
     let mut timeout_ms: Option<u64> = None;
 
     let mut it = std::env::args().skip(1);
@@ -55,7 +41,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--engine" => {
                 let Some(v) = it.next() else {
-                    eprintln!("--engine needs a value (dpll, cdcl or cnc)");
+                    eprintln!("--engine needs a value (dpll or cdcl)");
                     return ExitCode::FAILURE;
                 };
                 engine = match Engine::parse(&v) {
@@ -65,27 +51,6 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-            }
-            "--cube-depth" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--cube-depth needs a number");
-                    return ExitCode::FAILURE;
-                };
-                cube_depth = Some(v);
-            }
-            "--cube-cutoff" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--cube-cutoff needs a number");
-                    return ExitCode::FAILURE;
-                };
-                cube_cutoff = Some(v);
-            }
-            "--jobs" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--jobs needs a number");
-                    return ExitCode::FAILURE;
-                };
-                jobs = Some(v);
             }
             "--chrono" => options.learning = false,
             "--heuristic" => {
@@ -118,7 +83,6 @@ fn main() -> ExitCode {
                 };
                 timeout_ms = Some(v);
             }
-            "--portfolio" => portfolio = true,
             "--stats" => show_stats = true,
             other if source.is_empty() => source = other.to_string(),
             other => {
@@ -129,25 +93,6 @@ fn main() -> ExitCode {
     }
     if source.is_empty() {
         eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    if let Engine::Cnc {
-        depth,
-        cutoff,
-        jobs: j,
-    } = &mut engine
-    {
-        if let Some(d) = cube_depth {
-            *depth = d;
-        }
-        if let Some(c) = cube_cutoff {
-            *cutoff = c;
-        }
-        if let Some(n) = jobs {
-            *j = n;
-        }
-    } else if cube_depth.is_some() || cube_cutoff.is_some() {
-        eprintln!("--cube-depth/--cube-cutoff require --engine cnc");
         return ExitCode::FAILURE;
     }
 
@@ -179,30 +124,10 @@ fn main() -> ExitCode {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::never(),
     };
-    let outcome = if portfolio && engine == Engine::Dpll {
-        let result = solve_portfolio(&formula, &standard_portfolio(options), &cancel);
-        if show_stats {
-            for (i, run) in result.runs.iter().enumerate() {
-                let mark = if result.winner == Some(i) { " *" } else { "" };
-                eprintln!("c [{i}{mark}] {:?}: {}", run.options.heuristic, run.stats);
-            }
-        }
-        result.outcome
-    } else if portfolio {
-        let (outcome, stats) =
-            solve_engine_portfolio_traced(&formula, options, &cancel, &Tracer::disabled());
-        if show_stats {
-            eprintln!("c [portfolio winner] {stats}");
-        }
-        outcome
-    } else {
-        let (outcome, stats) =
-            solve_with_engine(engine, &formula, options, &cancel, &Faults::none());
-        if show_stats {
-            eprintln!("c [{engine}] {stats}");
-        }
-        outcome
-    };
+    let (outcome, stats) = solve_with_engine(engine, &formula, options, &cancel, &Faults::none());
+    if show_stats {
+        eprintln!("c [{engine}] {stats}");
+    }
     match outcome {
         Outcome::Satisfiable(model) => {
             println!("s SATISFIABLE");

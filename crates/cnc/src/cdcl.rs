@@ -3,7 +3,7 @@
 //! blocker-literal watch lists, deep (recursive) learned-clause
 //! minimisation, a heap-backed VSIDS order, LBD-aware clause-database
 //! reduction with glue protection, Luby restarts, phase saving, and
-//! assumption solving (the hook the cube-and-conquer layer hangs cubes on).
+//! assumption solving.
 //!
 //! The public surface mirrors `modsyn_sat::Solver` on purpose: borrowed
 //! formula in, [`Outcome`] out, [`SolverStats`] counters, builder-style
@@ -774,7 +774,7 @@ impl<'f> Cdcl<'f> {
     }
 
     /// Solves the formula. See [`Cdcl::solve_with_assumptions`] for the
-    /// assumption-aware variant the cube layer uses.
+    /// assumption-aware variant.
     pub fn solve(&mut self) -> Outcome {
         self.solve_with_assumptions(&[])
     }
@@ -782,8 +782,7 @@ impl<'f> Cdcl<'f> {
     /// Solves under `assumptions`: each assumed literal is forced as a
     /// pseudo-decision before free decisions start, and restarts re-assume
     /// them. [`Outcome::Unsatisfiable`] then means *unsatisfiable under the
-    /// assumptions* — exactly the "cube refuted" verdict cube-and-conquer
-    /// aggregates.
+    /// assumptions*.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Outcome {
         if self.root_unsat {
             return Outcome::Unsatisfiable;
@@ -860,7 +859,7 @@ impl<'f> Cdcl<'f> {
                 continue;
             }
 
-            // Re-assume the cube prefix, then free decisions.
+            // Re-assume the assumption prefix, then free decisions.
             let mut next_decision = None;
             while (self.current_level() as usize) < self.assumptions.len() {
                 let p = self.assumptions[self.current_level() as usize];
@@ -972,80 +971,6 @@ impl<'f> Cdcl<'f> {
         let model = Model::from_values(values);
         debug_assert!(model.check(self.formula));
         model
-    }
-
-    // ----- probing interface for the lookahead cuber -----
-
-    /// Number of assigned variables.
-    pub(crate) fn assigned_count(&self) -> usize {
-        self.trail.len()
-    }
-
-    pub(crate) fn num_vars(&self) -> usize {
-        self.values.len()
-    }
-
-    pub(crate) fn is_root_unsat(&self) -> bool {
-        self.root_unsat
-    }
-
-    pub(crate) fn var_unassigned(&self, v: usize) -> bool {
-        self.values[v] == UNASSIGNED
-    }
-
-    /// Propagates the level-0 units. `Ok(false)` on a root conflict,
-    /// `Err(())` if the cancel token fired mid-propagation (the caller
-    /// must NOT read a verdict out of that).
-    pub(crate) fn propagate_root(&mut self) -> Result<bool, ()> {
-        if self.root_unsat {
-            return Ok(false);
-        }
-        match self.propagate() {
-            Ok(None) => Ok(true),
-            Ok(Some(_)) => {
-                self.root_unsat = true;
-                Ok(false)
-            }
-            Err(()) => Err(()),
-        }
-    }
-
-    /// Opens a new decision level, assigns `lit`, and propagates. Returns
-    /// the number of literals the decision implied (itself included), or
-    /// `Ok(None)` on a conflict — in which case the level is popped again
-    /// and the state is exactly as before the call. `Err(())` means the
-    /// cancel token fired; the probe level is popped, but no verdict may
-    /// be drawn.
-    pub(crate) fn probe_decide(&mut self, lit: Lit) -> Result<Option<usize>, ()> {
-        debug_assert_eq!(self.lit_value(lit), UNASSIGNED);
-        let before = self.trail.len();
-        self.level_starts.push(before);
-        self.assign(lit, NO_REASON);
-        match self.propagate() {
-            Ok(None) => Ok(Some(self.trail.len() - before)),
-            Ok(Some(_)) => {
-                self.pop_probe();
-                Ok(None)
-            }
-            Err(()) => {
-                self.pop_probe();
-                Err(())
-            }
-        }
-    }
-
-    /// Pops the most recent probe level.
-    pub(crate) fn pop_probe(&mut self) {
-        let level = self.current_level();
-        debug_assert!(level > 0);
-        self.cancel_until(level - 1);
-    }
-
-    /// Current full assignment as a model (only valid when every variable
-    /// is assigned and propagation is at fixpoint).
-    pub(crate) fn full_model(&self) -> Model {
-        debug_assert_eq!(self.trail.len(), self.num_vars());
-        self.build_model()
     }
 }
 

@@ -5,14 +5,9 @@
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::{
-    solve_portfolio_traced, standard_portfolio, CnfFormula, Heuristic, Outcome, Solver,
-    SolverOptions, SolverStats,
-};
+use modsyn_sat::{CnfFormula, Outcome, Solver, SolverOptions, SolverStats};
 
 use crate::cdcl::{Cdcl, CdclOptions};
-use crate::conquer::{solve_cnc_traced, CncOptions};
-use crate::cube::CubeOptions;
 
 /// Which SAT core decides the CSC formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,37 +20,15 @@ pub enum Engine {
     /// LBD-aware deletion, Luby restarts. The default.
     #[default]
     Cdcl,
-    /// Lookahead cube-and-conquer over the CDCL core on a worker pool.
-    Cnc {
-        /// Maximum cube depth (≤ `2^depth` cubes).
-        depth: u32,
-        /// Free-variable cutoff below which a branch stops splitting.
-        cutoff: u32,
-        /// Conquer workers; 0 = all available cores.
-        jobs: u32,
-    },
 }
 
 impl Engine {
-    /// The cube-and-conquer engine with default cube shape.
-    pub fn cnc() -> Engine {
-        let cube = CubeOptions::default();
-        Engine::Cnc {
-            depth: cube.depth,
-            cutoff: cube.cutoff,
-            jobs: 0,
-        }
-    }
-
-    /// Parses a CLI engine name (`dpll`, `cdcl`, `cnc`).
+    /// Parses a CLI engine name (`dpll`, `cdcl`).
     pub fn parse(name: &str) -> Result<Engine, String> {
         match name {
             "dpll" => Ok(Engine::Dpll),
             "cdcl" => Ok(Engine::Cdcl),
-            "cnc" => Ok(Engine::cnc()),
-            other => Err(format!(
-                "unknown engine {other:?} (expected dpll, cdcl or cnc)"
-            )),
+            other => Err(format!("unknown engine {other:?} (expected dpll or cdcl)")),
         }
     }
 
@@ -64,21 +37,13 @@ impl Engine {
         match self {
             Engine::Dpll => "dpll",
             Engine::Cdcl => "cdcl",
-            Engine::Cnc { .. } => "cnc",
         }
     }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Cnc {
-                depth,
-                cutoff,
-                jobs,
-            } => write!(f, "cnc(depth={depth},cutoff={cutoff},jobs={jobs})"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -86,8 +51,8 @@ impl std::fmt::Display for Engine {
 /// cancel token and fault handle.
 ///
 /// `solver` carries the shared limits: `max_backtracks` maps onto the CDCL
-/// core's conflict budget and cube-and-conquer's *per-cube* conflict
-/// budget; `heuristic`/`learning` only affect [`Engine::Dpll`].
+/// core's conflict budget; `heuristic`/`learning` only affect
+/// [`Engine::Dpll`].
 pub fn solve_with_engine_traced(
     engine: Engine,
     formula: &CnfFormula,
@@ -117,24 +82,6 @@ pub fn solve_with_engine_traced(
             let outcome = s.solve_traced(tracer);
             (outcome, s.stats())
         }
-        Engine::Cnc {
-            depth,
-            cutoff,
-            jobs,
-        } => {
-            let options = CncOptions {
-                cube: CubeOptions {
-                    depth,
-                    cutoff,
-                    ..CubeOptions::default()
-                },
-                jobs: jobs as usize,
-                max_conflicts: solver.max_backtracks,
-                max_decisions: solver.max_decisions,
-            };
-            let result = solve_cnc_traced(formula, &options, cancel, faults, tracer);
-            (result.outcome, result.stats)
-        }
     }
 }
 
@@ -149,97 +96,6 @@ pub fn solve_with_engine(
     solve_with_engine_traced(engine, formula, solver, cancel, faults, &Tracer::disabled())
 }
 
-/// Races the CDCL core against the classic portfolio's strongest two legs
-/// — the retry ladder's escape hatch, now with the modern core as a
-/// member. Verdict-deterministic, trace-nondeterministic, and (like the
-/// classic race) deliberately immune to `sat.*` fault plans: injecting
-/// into racing members would make the verdict scheduling-dependent.
-///
-/// Returns the winning outcome and the winner's stats (default stats when
-/// nobody decided).
-pub fn solve_engine_portfolio_traced(
-    formula: &CnfFormula,
-    limits: SolverOptions,
-    cancel: &CancelToken,
-    tracer: &Tracer,
-) -> (Outcome, SolverStats) {
-    let race = cancel.child();
-    let cdcl_outcome: std::sync::Mutex<Option<(Outcome, SolverStats)>> =
-        std::sync::Mutex::new(None);
-    let classic = std::thread::scope(|scope| {
-        let race_ref = &race;
-        let slot = &cdcl_outcome;
-        let cdcl_tracer = tracer.clone();
-        scope.spawn(move || {
-            let _attempt = cdcl_tracer.span("attempt:cdcl-core");
-            let mut s = Cdcl::new(
-                formula,
-                CdclOptions {
-                    max_conflicts: limits.max_backtracks,
-                    max_decisions: limits.max_decisions,
-                },
-            )
-            .with_cancel(race_ref.child());
-            let outcome = s.solve_traced(&cdcl_tracer);
-            if outcome.is_decided() {
-                race_ref.cancel();
-            }
-            *slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((outcome, s.stats()));
-        });
-        // The classic race shares the same race token, so whichever side
-        // decides first cancels the other.
-        let classic_configs = vec![
-            SolverOptions {
-                heuristic: Heuristic::Activity,
-                learning: true,
-                ..limits
-            },
-            SolverOptions {
-                heuristic: Heuristic::JeroslowWang,
-                learning: false,
-                ..limits
-            },
-        ];
-        solve_portfolio_traced(formula, &classic_configs, &race, tracer)
-    });
-    let cdcl = cdcl_outcome
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    // Prefer whichever member actually decided; the CDCL core first (its
-    // stats feed the report), then the classic race's verdict.
-    match cdcl {
-        Some((outcome, stats)) if outcome.is_decided() => (outcome, stats),
-        cdcl_undecided => {
-            if classic.outcome.is_decided() {
-                let stats = classic
-                    .winner
-                    .map(|i| classic.runs[i].stats)
-                    .unwrap_or_default();
-                (classic.outcome, stats)
-            } else if let Some((outcome, stats)) = cdcl_undecided {
-                // Nobody decided: prefer a limit verdict over a
-                // cancellation, mirroring the classic portfolio.
-                if outcome != Outcome::Aborted {
-                    (outcome, stats)
-                } else {
-                    (classic.outcome, stats)
-                }
-            } else {
-                (classic.outcome, SolverStats::default())
-            }
-        }
-    }
-}
-
-/// The classic three-config portfolio, re-exported shape for callers that
-/// race [`Engine::Dpll`] only.
-pub fn classic_portfolio(limits: SolverOptions) -> Vec<SolverOptions> {
-    standard_portfolio(limits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,8 +105,8 @@ mod tests {
     fn parse_roundtrip() {
         assert_eq!(Engine::parse("dpll").unwrap(), Engine::Dpll);
         assert_eq!(Engine::parse("cdcl").unwrap(), Engine::Cdcl);
-        assert_eq!(Engine::parse("cnc").unwrap().name(), "cnc");
         assert!(Engine::parse("brute").is_err());
+        assert!(Engine::parse("cnc").is_err());
     }
 
     fn tiny_sat() -> CnfFormula {
@@ -263,7 +119,7 @@ mod tests {
     #[test]
     fn all_engines_agree_on_a_tiny_formula() {
         let f = tiny_sat();
-        for engine in [Engine::Dpll, Engine::Cdcl, Engine::cnc()] {
+        for engine in [Engine::Dpll, Engine::Cdcl] {
             let (outcome, _) = solve_with_engine(
                 engine,
                 &f,
@@ -276,31 +132,5 @@ mod tests {
                 other => panic!("{engine}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn engine_portfolio_decides() {
-        let f = tiny_sat();
-        let (outcome, _) = solve_engine_portfolio_traced(
-            &f,
-            SolverOptions::default(),
-            &CancelToken::never(),
-            &Tracer::disabled(),
-        );
-        assert!(outcome.is_sat());
-    }
-
-    #[test]
-    fn display_includes_cnc_shape() {
-        assert_eq!(Engine::Cdcl.to_string(), "cdcl");
-        assert_eq!(
-            Engine::Cnc {
-                depth: 3,
-                cutoff: 10,
-                jobs: 2
-            }
-            .to_string(),
-            "cnc(depth=3,cutoff=10,jobs=2)"
-        );
     }
 }

@@ -9,8 +9,9 @@
 //! ladder escalates deterministically:
 //!
 //! 1. double the backtrack limit, up to [`RetryPolicy::backtrack_cap`];
-//! 2. switch to the racing SAT portfolio (verdict-deterministic, and
-//!    immune to single-solver fault plans by design);
+//! 2. re-run the base engine once more at the highest budget reached —
+//!    a deterministic re-run returns the fault-free model, so a transient
+//!    `sat.*` fault costs one rung and never changes the answer;
 //! 3. fall back modular → lavagno (a different algorithm entirely).
 //!
 //! The schedule is a pure function of the base options and the policy
@@ -67,8 +68,6 @@ pub struct Attempt {
     pub method: Method,
     /// The backtrack limit in force.
     pub backtrack_limit: Option<u64>,
-    /// Whether the rung raced the SAT portfolio.
-    pub portfolio: bool,
     /// Wall-clock seconds the rung spent before failing.
     pub elapsed: f64,
     /// How the rung failed.
@@ -81,9 +80,6 @@ impl std::fmt::Display for Attempt {
         match self.backtrack_limit {
             Some(limit) => write!(f, " backtracks<={limit}")?,
             None => write!(f, " backtracks=unlimited")?,
-        }
-        if self.portfolio {
-            write!(f, " portfolio")?;
         }
         write!(f, " {:.2}s: {}", self.elapsed, self.error)
     }
@@ -118,13 +114,12 @@ pub fn escalation_ladder(base: &SynthesisOptions, policy: &RetryPolicy) -> Vec<S
         rungs.push(next);
         limit = Some(bumped);
     }
-    // Rung 2: race the portfolio at the highest budget reached.
-    if !base.portfolio {
-        let mut next = base.clone();
-        next.solver.max_backtracks = limit;
-        next.portfolio = true;
-        rungs.push(next);
-    }
+    // Rung 2: re-run the base engine at the highest budget reached. The
+    // same engine keeps a recovered answer byte-identical to a fault-free
+    // one (DESIGN.md §11).
+    let mut rerun = base.clone();
+    rerun.solver.max_backtracks = limit;
+    rungs.push(rerun);
     // Rung 3: a different algorithm entirely.
     if policy.fallback && base.method != Method::Lavagno {
         let mut next = base.clone();
@@ -149,7 +144,7 @@ fn is_retryable(error: &SynthesisError, overall_cancelled: bool) -> bool {
 
 /// [`synthesize_with_retry`] with observability: the ladder runs under a
 /// `retry.ladder` span, each rung under a `retry.attempt` span with the
-/// rung's method/limit/portfolio as notes and its outcome as a note, and
+/// rung's method/limit as notes and its outcome as a note, and
 /// failed rungs count into a `retry_escalations` counter.
 ///
 /// # Errors
@@ -186,7 +181,6 @@ pub fn synthesize_with_retry_traced(
                 .max_backtracks
                 .map_or_else(|| "unlimited".to_string(), |l| l.to_string()),
         );
-        tracer.note("portfolio", if options.portfolio { "yes" } else { "no" });
         let started = Instant::now();
         let result = synthesize_traced(stg, &options, tracer);
         match result {
@@ -205,7 +199,6 @@ pub fn synthesize_with_retry_traced(
                 attempts.push(Attempt {
                     method: options.method,
                     backtrack_limit: options.solver.max_backtracks,
-                    portfolio: options.portfolio,
                     elapsed: started.elapsed().as_secs_f64(),
                     error: error.clone(),
                 });
@@ -264,7 +257,7 @@ mod tests {
             limits,
             vec![Some(100), Some(200), Some(400), Some(400), Some(400)]
         );
-        assert!(a[3].portfolio, "portfolio rung follows the doublings");
+        assert_eq!(a[3], a[2], "the re-run rung repeats the last doubling");
         assert_eq!(a[4].method, Method::Lavagno, "fallback rung is last");
         assert!(a[..4].iter().all(|o| o.method == Method::Modular));
     }
@@ -272,8 +265,8 @@ mod tests {
     #[test]
     fn unlimited_base_skips_the_doubling_rungs() {
         let ladder = escalation_ladder(&SynthesisOptions::default(), &RetryPolicy::default());
-        assert_eq!(ladder.len(), 3); // base, portfolio, lavagno
-        assert!(ladder[1].portfolio);
+        assert_eq!(ladder.len(), 3); // base, re-run, lavagno
+        assert_eq!(ladder[1], ladder[0]);
         assert_eq!(ladder[2].method, Method::Lavagno);
     }
 
@@ -321,9 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn the_portfolio_rung_escapes_a_persistent_solver_fault() {
-        // An unlimited sat.abort plan kills every single-solver rung; the
-        // portfolio rung does not probe sat.* sites and must decide.
+    fn the_fallback_rung_escapes_a_persistent_solver_fault() {
+        // An unlimited sat.abort plan kills the base rung and its re-run;
+        // lavagno's solver probes no sat.* site and must decide.
         let faults = FaultPlan::new("t", 1)
             .rule(FaultRule::at(site::SAT_ABORT))
             .arm();
@@ -333,10 +326,17 @@ mod tests {
         };
         let out =
             synthesize_with_retry(&benchmarks::vbe_ex1(), &base, &RetryPolicy::default()).unwrap();
-        let winner_index = out.attempts.len();
         let ladder = escalation_ladder(&base, &RetryPolicy::default());
-        assert!(ladder[winner_index].portfolio, "portfolio rung won");
-        assert_eq!(out.report.method, Method::Modular);
+        assert_eq!(
+            out.attempts.len(),
+            ladder.len() - 1,
+            "only the last rung won"
+        );
+        assert!(out
+            .attempts
+            .iter()
+            .all(|a| matches!(a.error, SynthesisError::Aborted { .. })));
+        assert_eq!(out.report.method, Method::Lavagno);
     }
 
     #[test]
@@ -354,7 +354,7 @@ mod tests {
         };
         let policy = RetryPolicy {
             backtrack_cap: 200,
-            max_attempts: 2, // base + one doubling; no portfolio escape
+            max_attempts: 2, // base + one doubling; no re-run or fallback
             ..Default::default()
         };
         let err = synthesize_with_retry(&benchmarks::vbe_ex1(), &base, &policy).unwrap_err();

@@ -41,8 +41,8 @@ impl Inner {
 ///
 /// [`CancelToken::child`] builds hierarchies: a child trips when its own
 /// flag/deadline trips *or* when any ancestor does, while cancelling the
-/// child leaves the parent alive. The SAT portfolio uses exactly this — one
-/// race-local child per attempt under the caller's overall deadline.
+/// child leaves the parent alive. The retry ladder uses exactly this — one
+/// per-attempt deadline child under the caller's overall token.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,

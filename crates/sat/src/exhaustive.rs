@@ -7,7 +7,7 @@ pub const EXHAUSTIVE_VAR_LIMIT: usize = 20;
 
 /// Decides satisfiability by enumerating every assignment.
 ///
-/// This is the *reference* semantics the DPLL solver and the portfolio are
+/// This is the *reference* semantics the DPLL solver and the CDCL core are
 /// differentially tested against: ~15 lines with no propagation, no
 /// heuristics and no early exits beyond clause evaluation, so a bug here is
 /// very unlikely to coincide with a bug there. Returns the

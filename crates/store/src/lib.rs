@@ -47,8 +47,7 @@ pub use durable::{
 pub use edit::{pulse_edit, rebuild, rename_edit};
 pub use provenance::{ClauseFamilies, ModuleEntry, Provenance, StoredFormula, SynthRecord};
 pub use snapshot::{
-    restore_into, snapshot_doc, snapshot_from_json, snapshot_to_json, SnapshotData,
-    SNAPSHOT_VERSION,
+    restore_into, snapshot_doc, snapshot_from_json, SnapshotData, SNAPSHOT_VERSION,
 };
 pub use store::{
     graph_key_text, module_key, Snapshot, SnapshotMeta, StoreDiff, StoreLink, StoreSession,

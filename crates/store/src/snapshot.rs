@@ -1,8 +1,9 @@
 //! Durable snapshot (de)serialization.
 //!
-//! `modsynd --store-snapshot PATH` persists the store on graceful drain and
-//! reloads it at start, so a restarted daemon answers its warm traffic from
-//! the first request. The format is a single deterministic JSON document:
+//! `modsynd --durable DIR` checkpoints the store into snapshot generations
+//! and reloads the newest at start, so a restarted daemon answers its warm
+//! traffic from the first request. The format is a single deterministic
+//! JSON document:
 //! both namespaces key-sorted, module keys and digests as hex strings, and
 //! `Quat` assignment values packed as one character each (`0`, `1`, `u`,
 //! `d`). The daemon's response-cache bodies ride along so even the
@@ -35,14 +36,9 @@ pub struct SnapshotData {
 }
 
 /// Renders a snapshot (plus optional serving-layer response bodies) to the
-/// durable JSON document.
-pub fn snapshot_to_json(snap: &Snapshot, responses: &[(u128, String)]) -> Json {
-    snapshot_doc(snap, responses, 0)
-}
-
-/// [`snapshot_to_json`] with an explicit journal watermark: the document
-/// records that every journal frame with `seq <= wal_seq` is already folded
-/// into the snapshot, so recovery replays only the suffix.
+/// durable JSON document. The journal watermark records that every journal
+/// frame with `seq <= wal_seq` is already folded into the snapshot, so
+/// recovery replays only the suffix.
 pub fn snapshot_doc(snap: &Snapshot, responses: &[(u128, String)], wal_seq: u64) -> Json {
     Json::obj([
         ("version", Json::from(SNAPSHOT_VERSION)),
@@ -83,7 +79,7 @@ pub fn snapshot_doc(snap: &Snapshot, responses: &[(u128, String)], wal_seq: u64)
     ])
 }
 
-/// Decodes a snapshot document produced by [`snapshot_to_json`].
+/// Decodes a snapshot document produced by [`snapshot_doc`].
 ///
 /// # Errors
 ///
@@ -448,7 +444,7 @@ mod tests {
         let store = sample_store();
         let snap = store.snapshot();
         let responses = vec![(0xabc_u128, "{\"certified\":true}\n".to_string())];
-        let doc = snapshot_to_json(&snap, &responses);
+        let doc = snapshot_doc(&snap, &responses, 7);
         let text = doc.pretty();
         let parsed = parse_json(&text).unwrap();
         let data = snapshot_from_json(&parsed).unwrap();
@@ -456,6 +452,7 @@ mod tests {
         assert_eq!(data.modules.len(), 1);
         assert_eq!(data.records.len(), 1);
         assert_eq!(data.responses, responses);
+        assert_eq!(data.wal_seq, 7);
         let entry = &data.modules[0].1;
         assert_eq!(
             *entry,
@@ -467,7 +464,7 @@ mod tests {
         // Restoring into a fresh store reproduces the same snapshot text.
         let fresh = SynthStore::new();
         restore_into(&fresh, &data);
-        let again = snapshot_to_json(&fresh.snapshot(), &responses).pretty();
+        let again = snapshot_doc(&fresh.snapshot(), &responses, 7).pretty();
         assert_eq!(text, again);
     }
 

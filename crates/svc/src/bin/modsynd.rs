@@ -7,7 +7,6 @@
 //!         [--faults SPEC] [--fault-seed N]
 //!         [--breaker-threshold F] [--breaker-cooldown-ms T]
 //!         [--access-log off|stderr|FILE] [--flight-slots N]
-//!         [--store-snapshot FILE]
 //!         [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]
 //! ```
 //!
@@ -33,22 +32,17 @@
 //! `stderr`; embedded servers default to off); `--flight-slots` sizes the
 //! flight recorder's per-shard ring.
 //!
-//! `--store-snapshot FILE` persists the synthesis store (module solves,
-//! provenance records, cached response bodies) across restarts: the file
-//! is reloaded at startup when it exists and rewritten after a graceful
-//! drain, so a restarted daemon answers previously-seen work from cache
-//! and serves `/synth/incr` and `/explain` against the old session's
-//! records.
-//!
-//! `--durable DIR` is the crash-safe superset of `--store-snapshot`: every
+//! `--durable DIR` persists the synthesis store (module solves,
+//! provenance records, cached response bodies) across restarts, so a
+//! restarted daemon answers previously-seen work from cache and serves
+//! `/synth/incr` and `/explain` against the old session's records. Every
 //! mutation is journaled (write-ahead, checksummed, fsync'd every
 //! `--wal-fsync-every` appends) before it is applied, and every
 //! `--checkpoint-every` frames the journal is compacted into an atomically
 //! rotated snapshot generation — so warm state survives `kill -9`, torn
 //! tails are truncated on replay, and a corrupt snapshot falls back to the
 //! previous generation. `/readyz` reports 503 while recovery replays; the
-//! recovery counters land in `/metrics`. The two persistence flags are
-//! mutually exclusive.
+//! recovery counters land in `/metrics`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -63,7 +57,7 @@ fn usage() -> &'static str {
      [--cache-entries N] [--cache-bytes N] [--timeout-ms T] [--max-body BYTES] \
      [--limit N] [--stats] [--trace-json FILE] [--faults SPEC] [--fault-seed N] \
      [--breaker-threshold F] [--breaker-cooldown-ms T] \
-     [--access-log off|stderr|FILE] [--flight-slots N] [--store-snapshot FILE] \
+     [--access-log off|stderr|FILE] [--flight-slots N] \
      [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]\n\
      \n\
      Serves POST /synth (body: .g STG; query: method, timeout_ms),\n\
@@ -71,9 +65,8 @@ fn usage() -> &'static str {
      signal), GET /metrics, GET /healthz, GET /readyz, GET /debug/flight,\n\
      POST /shutdown.\n\
      Every 200 is oracle-certified and trace-stamped (X-Modsyn-Trace).\n\
-     --store-snapshot persists the synthesis store across restarts.\n\
-     --durable DIR makes persistence crash-safe: a checksummed write-ahead\n\
-     journal plus atomic snapshot generations; state survives kill -9.\n\
+     --durable DIR persists the synthesis store across restarts: a checksummed\n\
+     write-ahead journal plus atomic snapshot generations; state survives kill -9.\n\
      --faults arms a seeded chaos plan, e.g. 'sat.abort*2,svc.write-torn@1/4'\n\
      (rule grammar: site[*max][+skip][@num/denom][~delay_ms])."
 }
@@ -180,9 +173,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --flight-slots value")?;
             }
-            "--store-snapshot" => {
-                config.store_snapshot = Some(value("--store-snapshot")?.into());
-            }
             "--durable" => {
                 let dir = value("--durable")?;
                 let tuned = config
@@ -213,9 +203,6 @@ fn parse_args() -> Result<Args, String> {
     if let Some(d) = &config.durable {
         if d.dir.as_os_str().is_empty() {
             return Err("--wal-fsync-every/--checkpoint-every need --durable DIR".to_string());
-        }
-        if config.store_snapshot.is_some() {
-            return Err("--durable and --store-snapshot are mutually exclusive".to_string());
         }
     }
     if let Some(spec) = fault_spec {

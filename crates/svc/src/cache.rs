@@ -199,7 +199,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// Every live entry, sorted by key — the persistence walk used by the
-    /// daemon's `--store-snapshot` save. Recency stamps are not preserved:
+    /// daemon's `--durable` checkpoints. Recency stamps are not preserved:
     /// a reloaded cache starts with fresh LRU history, which only costs
     /// eviction-order fidelity, never correctness.
     pub fn entries(&self) -> Vec<(u128, V)> {

@@ -47,8 +47,6 @@ pub const STANDARD_HISTOGRAMS: &[&str] = &[
     // Average learned-clause LBD per CDCL solve (engine health: rising
     // glue means the learner is struggling).
     "sat_lbd",
-    // Cubes spawned per cube-and-conquer solve.
-    "cnc_cubes",
     "incr_dirty_modules",
 ];
 

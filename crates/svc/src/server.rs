@@ -74,8 +74,8 @@ use modsyn_par::{CancelToken, WorkerPool};
 use modsyn_petri::NetClass;
 use modsyn_stg::{parse_g, stg_digest, Stg};
 use modsyn_store::{
-    restore_into, snapshot_from_json, snapshot_to_json, write_atomic, DurableConfig, DurableStore,
-    Provenance, StoreLink, StoreMutation, StoreSession, SynthRecord, SynthStore,
+    restore_into, DurableConfig, DurableStore, Provenance, StoreLink, StoreMutation, StoreSession,
+    SynthRecord, SynthStore,
 };
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
@@ -132,18 +132,13 @@ pub struct ServerConfig {
     pub flight_slots: usize,
     /// Per-request access-log destination.
     pub access_log: AccessLog,
-    /// Synthesis-store persistence: reload this snapshot at bind (when the
-    /// file exists) and write it back after a graceful drain, so module
-    /// solves, provenance records and cached response bodies survive a
-    /// restart. `None` (the default) keeps the store memory-only.
-    /// Ignored when [`ServerConfig::durable`] is set.
-    pub store_snapshot: Option<PathBuf>,
     /// Crash-safe persistence: a write-ahead journal plus atomic snapshot
-    /// generations in this directory. Recovery (snapshot load + journal
-    /// replay) runs on a background thread after bind; `/synth` answers
-    /// 503 + `Retry-After` and `/readyz` stays 503 until it finishes.
-    /// Unlike [`ServerConfig::store_snapshot`], warm state survives a
-    /// `kill -9`, not just a graceful drain.
+    /// generations in this directory, so module solves, provenance records
+    /// and cached response bodies survive a restart — a `kill -9`
+    /// included. Recovery (snapshot load + journal replay) runs on a
+    /// background thread after bind; `/synth` answers 503 + `Retry-After`
+    /// and `/readyz` stays 503 until it finishes. `None` (the default)
+    /// keeps the store memory-only.
     pub durable: Option<DurableConfig>,
 }
 
@@ -164,7 +159,6 @@ impl Default for ServerConfig {
             faults: Faults::none(),
             flight_slots: modsyn_obs::DEFAULT_SLOTS,
             access_log: AccessLog::Off,
-            store_snapshot: None,
             durable: None,
         }
     }
@@ -329,34 +323,6 @@ impl Server {
             WorkerPool::with_tracer_and_faults(config.jobs, tracer.clone(), config.faults.clone());
         let cache = ShardedLru::new(&config.cache).with_faults(config.faults.clone());
         let store = Arc::new(SynthStore::new());
-        let mut legacy_snapshot_corrupt = false;
-        if let Some(path) = config.store_snapshot.as_ref().filter(|p| {
-            // The journaled store supersedes the drain-only snapshot.
-            config.durable.is_none() && p.exists()
-        }) {
-            // A corrupt snapshot is a recovery event, not a bind failure:
-            // starting cold only costs warmth — everything is re-derived
-            // and re-certified on the next miss.
-            let loaded = std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| modsyn_obs::parse_json(&text).map_err(|e| e.to_string()))
-                .and_then(|doc| snapshot_from_json(&doc));
-            match loaded {
-                Ok(data) => {
-                    restore_into(&store, &data);
-                    for (key, body) in &data.responses {
-                        let bytes = body.len();
-                        cache.insert(*key, Arc::new(body.clone().into_bytes()), bytes);
-                    }
-                    tracer.note("store", "snapshot-loaded");
-                }
-                Err(e) => {
-                    legacy_snapshot_corrupt = true;
-                    tracer.note("store", &format!("snapshot-corrupt: {e}; starting cold"));
-                    tracer.flight_event(FlightKind::Fault, "store.snapshot-corrupt", 1);
-                }
-            }
-        }
         let access = match &config.access_log {
             AccessLog::Off => AccessSink::Off,
             AccessLog::Stderr => AccessSink::Stderr,
@@ -391,12 +357,6 @@ impl Server {
             trace_salt,
             access,
         });
-        if legacy_snapshot_corrupt {
-            shared
-                .metrics
-                .recovery_snapshot_fallbacks
-                .store(1, Ordering::Relaxed);
-        }
         if let Some(durable) = durable_config {
             // Recovery (snapshot load + journal replay) runs off the bind
             // path so a large journal never delays the port appearing;
@@ -543,16 +503,6 @@ impl Server {
                     .tracer
                     .note("store", &format!("final checkpoint failed: {e}")),
             }
-        } else if let Some(path) = &self.shared.config.store_snapshot {
-            let snap = self.shared.store.snapshot();
-            let responses = cache_entries(&self.shared.cache);
-            // Atomic (temp + fsync + rename): a crash mid-write leaves the
-            // previous snapshot intact, never a torn file.
-            write_atomic(
-                path,
-                snapshot_to_json(&snap, &responses).pretty().as_bytes(),
-            )?;
-            self.shared.tracer.note("store", "snapshot-saved");
         }
         Ok(())
     }
@@ -1304,10 +1254,10 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
         options.solver.max_backtracks = Some(limit);
     }
     // Retry ladder: escalate capacity failures (limit bumps up to 4× the
-    // configured budget, then the SAT portfolio) before failing the
-    // request. No lavagno fallback — the response's method must be the
-    // method the client asked for, and cached bodies must stay
-    // byte-identical across fault plans.
+    // configured budget, then one re-run of the same engine) before
+    // failing the request. No lavagno fallback and no engine switch — the
+    // response's method must be the method the client asked for, and
+    // cached bodies must stay byte-identical across fault plans.
     let policy = RetryPolicy {
         backtrack_cap: shared
             .config

@@ -230,9 +230,8 @@ fn pre_cancelled_run_draws_an_aborted_rejection() {
 #[test]
 fn exhausted_ladder_is_typed_with_its_attempt_trace() {
     // The fork-join subject needs ~1000 backtracks; a budget of 10 with
-    // the doubling cap already at 10 makes every rung — base and the
-    // portfolio (which is immune to single-solver fault plans, so faults
-    // could not force this) — fail retryably with a genuine
+    // the doubling cap already at 10 makes every rung — base and its
+    // re-run at the same budget — fail retryably with a genuine
     // backtrack-limit, and no fallback keeps the ladder to those two
     // rungs, so it runs out instead of recovering.
     let options = SynthesisOptions {
@@ -253,7 +252,8 @@ fn exhausted_ladder_is_typed_with_its_attempt_trace() {
     let SynthesisError::Exhausted { ref attempts } = err else {
         panic!("expected Exhausted, got {err}");
     };
-    assert_eq!(attempts.len(), 2, "base rung plus the portfolio rung");
+    assert_eq!(attempts.len(), 2, "base rung plus the re-run rung");
+    assert_eq!(attempts[0].backtrack_limit, attempts[1].backtrack_limit);
     let rejection = Rejection::of(&err);
     assert_eq!(rejection, Rejection::Exhausted);
     assert_eq!(rejection.tag(), "exhausted");

@@ -312,21 +312,21 @@ fn server_recovers_journal_only_state_after_a_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A corrupt legacy `--store-snapshot` file must be a logged recovery
-/// event, never a bind failure.
+/// A corrupt durable snapshot with no previous generation must be a
+/// logged recovery event, never a bind failure: the daemon starts cold.
 #[test]
-fn corrupt_legacy_snapshot_does_not_prevent_bind() {
-    let dir = temp_dir("legacy-corrupt");
+fn corrupt_durable_snapshot_does_not_prevent_bind() {
+    let dir = temp_dir("snap-corrupt");
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshot = dir.join("store.json");
-    std::fs::write(&snapshot, b"{\"version\":").unwrap();
+    std::fs::write(dir.join(SNAP_FILE), b"{\"version\":").unwrap();
 
     let (handle, thread) = start(ServerConfig {
-        store_snapshot: Some(snapshot),
+        durable: Some(DurableConfig::new(&dir)),
         ..ServerConfig::default()
     });
     let health = client::request(handle.addr(), "GET", "/healthz", b"", TIMEOUT).expect("healthz");
     assert_eq!(health.status, 200, "corrupt snapshot must not kill bind");
+    wait_ready(&handle);
     assert_eq!(metric(&handle, "modsynd_recovery_snapshot_fallbacks"), 1);
     stop(&handle, thread);
     let _ = std::fs::remove_dir_all(&dir);

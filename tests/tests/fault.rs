@@ -155,6 +155,30 @@ fn ladder_output_under_faults_is_identical_to_the_clean_run_and_certifies() {
     modsyn::certify_report(Some(&spec), &out.report).expect("oracle certifies");
 }
 
+#[test]
+fn the_rerun_rung_returns_a_body_identical_to_the_fault_free_run() {
+    // An unlimited base has no doubling rungs, so the ladder is base,
+    // re-run, lavagno: one injected abort fails the base rung and the
+    // re-run of the same engine must decide with the fault-free model.
+    let stg = modsyn_stg::benchmarks::vbe_ex1();
+    let clean = synthesize(&stg, &SynthesisOptions::default()).expect("clean run");
+    let faults = FaultPlan::new("chaos", 5)
+        .rule(FaultRule::at(site::SAT_ABORT).times(1))
+        .arm();
+    let base = SynthesisOptions {
+        faults: faults.clone(),
+        ..Default::default()
+    };
+    let out = synthesize_with_retry(&stg, &base, &RetryPolicy::default()).expect("ladder recovers");
+    assert_eq!(out.attempts.len(), 1, "the re-run rung decided");
+    assert_eq!(out.report.method, modsyn::Method::Modular);
+    assert_eq!(faults.total_injected(), 1);
+    assert_eq!(
+        modsyn_svc::render_report(&out.report),
+        modsyn_svc::render_report(&clean)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Circuit breaker over a live loopback server.
 // ---------------------------------------------------------------------------
@@ -163,7 +187,8 @@ fn ladder_output_under_faults_is_identical_to_the_clean_run_and_certifies() {
 fn breaker_opens_under_injected_failures_then_recovers_through_half_open() {
     // A persistent pool.run panic plan makes every synthesis fail (500) —
     // a worker panic is the one failure the server's retry ladder cannot
-    // absorb, unlike sat.abort which the portfolio rung now recovers. A
+    // absorb, unlike a finite sat.abort budget, which the re-run rung
+    // recovers. A
     // threshold of 1.5 (trips on the second quick failure — the score
     // decays slightly between records, so 2.0 would never be reached) and
     // a short cooldown keep the test fast. We hold a clone of the armed

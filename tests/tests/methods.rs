@@ -1,7 +1,8 @@
 //! Cross-method integration: the three flows compared on the same inputs.
 
-use modsyn::{synthesize, Method, SynthesisError, SynthesisOptions};
+use modsyn::{certify_report, synthesize, Engine, Method, SynthesisError, SynthesisOptions};
 use modsyn_sat::SolverOptions;
+use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::benchmarks;
 
 fn with_limit(method: Method, limit: u64) -> SynthesisOptions {
@@ -108,4 +109,20 @@ fn formula_decomposition_shrinks_instances() {
     assert!(
         modular.formulas.iter().map(|f| f.clauses).max().unwrap() < direct.formula.clause_count()
     );
+}
+
+#[test]
+fn all_engines_synthesize_certified_circuits() {
+    let stg = benchmarks::by_name("alloc-outbound").unwrap();
+    let spec = derive(&stg, &DeriveOptions::default()).unwrap();
+    for method in [Method::Modular, Method::Direct] {
+        for engine in [Engine::Dpll, Engine::Cdcl] {
+            let mut options = SynthesisOptions::for_method(method);
+            options.engine = engine;
+            let report =
+                synthesize(&stg, &options).unwrap_or_else(|e| panic!("{method} {engine}: {e}"));
+            certify_report(Some(&spec), &report)
+                .unwrap_or_else(|e| panic!("{method} {engine}: oracle violation: {e}"));
+        }
+    }
 }

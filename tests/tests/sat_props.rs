@@ -3,17 +3,16 @@
 //! The ungated part cross-checks three independent deciders on seeded
 //! random small CNFs — [`modsyn_sat::solve_exhaustive`] (brute force over
 //! all assignments, the ground truth), the DPLL engine under every
-//! heuristic × learning combination, and the thread portfolio — so a bug
-//! in any one of them shows up as a verdict disagreement with a
-//! reproducible seed. The proptest versions of these properties remain at
+//! heuristic × learning combination, and the CDCL core — so a bug in any
+//! one of them shows up as a verdict disagreement with a reproducible
+//! seed. The proptest versions of these properties remain at
 //! the bottom, gated behind `--features proptest-tests` (the dependency
 //! needs network access to fetch; see `Cargo.toml`).
 
 use modsyn_check::rng::SplitMix64;
 use modsyn_par::CancelToken;
 use modsyn_sat::{
-    solve, solve_exhaustive, solve_portfolio, standard_portfolio, CnfFormula, Heuristic, Lit,
-    Outcome, SolverOptions, Var,
+    solve, solve_exhaustive, CnfFormula, Heuristic, Lit, Outcome, SolverOptions, Var,
 };
 
 /// Draws a random CNF: up to `max_vars` variables, up to 24 clauses of 1–3
@@ -64,29 +63,7 @@ fn dpll_agrees_with_exhaustive_search_on_500_random_cnfs() {
 }
 
 #[test]
-fn portfolio_agrees_with_exhaustive_search_on_500_random_cnfs() {
-    let mut rng = SplitMix64::new(0x0f_f01d);
-    for case in 0..500 {
-        let f = random_cnf(&mut rng, 8);
-        let expected = solve_exhaustive(&f).is_sat();
-        let configs = standard_portfolio(SolverOptions::default());
-        let result = solve_portfolio(&f, &configs, &CancelToken::never());
-        assert_eq!(
-            result.outcome.is_sat(),
-            expected,
-            "case {case}: portfolio disagrees with brute force"
-        );
-        if let Outcome::Satisfiable(model) = result.outcome {
-            assert!(
-                model.check(&f),
-                "case {case}: portfolio model does not satisfy"
-            );
-        }
-    }
-}
-
-#[test]
-fn cdcl_and_cnc_agree_with_exhaustive_search_on_500_random_cnfs() {
+fn cdcl_agrees_with_exhaustive_search_on_500_random_cnfs() {
     use modsyn_cnc::{solve_with_engine, Engine};
     use modsyn_fault::Faults;
 
@@ -94,25 +71,20 @@ fn cdcl_and_cnc_agree_with_exhaustive_search_on_500_random_cnfs() {
     for case in 0..500 {
         let f = random_cnf(&mut rng, 8);
         let expected = solve_exhaustive(&f).is_sat();
-        for engine in [Engine::Cdcl, Engine::cnc()] {
-            let (outcome, _) = solve_with_engine(
-                engine,
-                &f,
-                SolverOptions::default(),
-                &CancelToken::never(),
-                &Faults::none(),
-            );
-            assert_eq!(
-                outcome.is_sat(),
-                expected,
-                "case {case}: engine {engine} disagrees with brute force"
-            );
-            if let Outcome::Satisfiable(model) = outcome {
-                assert!(
-                    model.check(&f),
-                    "case {case}: {engine} model does not satisfy"
-                );
-            }
+        let (outcome, _) = solve_with_engine(
+            Engine::Cdcl,
+            &f,
+            SolverOptions::default(),
+            &CancelToken::never(),
+            &Faults::none(),
+        );
+        assert_eq!(
+            outcome.is_sat(),
+            expected,
+            "case {case}: cdcl disagrees with brute force"
+        );
+        if let Outcome::Satisfiable(model) = outcome {
+            assert!(model.check(&f), "case {case}: cdcl model does not satisfy");
         }
     }
 }

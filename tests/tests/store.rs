@@ -1,14 +1,15 @@
 //! Incremental-synthesis integration tests: every Table-1 row is edited,
 //! re-synthesised through a warm synthesis store, certified by the
 //! independent oracle and byte-compared against from-scratch synthesis —
-//! plus the serving surface (`/synth/incr`, `/explain`, `--store-snapshot`
-//! warm restarts) against real loopback listeners.
+//! plus the serving surface (`/synth/incr`, `/explain`, `--durable` warm
+//! restarts) against real loopback listeners.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use modsyn_bench::incr::{edit_specs, run_incr_row};
 use modsyn_bench::PAPER_TABLE1;
 use modsyn_obs::{parse_json, Tracer};
+use modsyn_store::{DurableConfig, SNAP_FILE};
 use modsyn_svc::client::{self, ClientResponse};
 use modsyn_svc::{Server, ServerConfig, ServerHandle};
 
@@ -121,6 +122,15 @@ fn stop(handle: &ServerHandle, thread: std::thread::JoinHandle<std::io::Result<(
 fn request(handle: &ServerHandle, method: &str, path: &str, body: &str) -> ClientResponse {
     client::request(handle.addr(), method, path, body.as_bytes(), TIMEOUT)
         .expect("loopback request")
+}
+
+/// Polls `/readyz` until a durable server finishes its background recovery.
+fn wait_ready(handle: &ServerHandle) {
+    let deadline = Instant::now() + TIMEOUT;
+    while request(handle, "GET", "/readyz", "").status != 200 {
+        assert!(Instant::now() < deadline, "server never became ready");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]
@@ -251,11 +261,11 @@ fn explain_reports_provenance_for_certified_synthesis() {
 }
 
 #[test]
-fn store_snapshot_survives_restart_with_full_cache_warmth() {
-    let path = std::env::temp_dir().join(format!("modsyn-store-test-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+fn durable_store_survives_restart_with_full_cache_warmth() {
+    let dir = std::env::temp_dir().join(format!("modsyn-store-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let config = || ServerConfig {
-        store_snapshot: Some(path.clone()),
+        durable: Some(DurableConfig::new(&dir)),
         ..ServerConfig::default()
     };
     let rows = ["vbe-ex1", "vbe-ex2"];
@@ -264,8 +274,9 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
         .map(|name| modsyn_stg::write_g(&modsyn_stg::benchmarks::by_name(name).expect("benchmark")))
         .collect();
 
-    // First life: synthesise, then drain (which persists the snapshot).
+    // First life: synthesise, then drain (which checkpoints the store).
     let (handle, thread) = start(config());
+    wait_ready(&handle);
     let mut digest = String::new();
     for body in &bodies {
         let response = request(&handle, "POST", "/synth?method=modular", body);
@@ -277,11 +288,15 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
             .to_string();
     }
     stop(&handle, thread);
-    assert!(path.exists(), "graceful drain must write the snapshot");
+    assert!(
+        dir.join(SNAP_FILE).exists(),
+        "graceful drain must write the snapshot"
+    );
 
     // Second life: every request is answered from the restored cache, and
     // /explain still reaches the first life's provenance records.
     let (handle, thread) = start(config());
+    wait_ready(&handle);
     for body in &bodies {
         let response = request(&handle, "POST", "/synth?method=modular", body);
         assert_eq!(response.status, 200, "{}", response.text());
@@ -299,5 +314,5 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
     );
     assert_eq!(explain.status, 200, "{}", explain.text());
     stop(&handle, thread);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
