@@ -53,7 +53,7 @@ pub fn complement(cover: &Cover) -> Cover {
 
 /// Merge pairs differing only in the split literal (x·c + x'·c = c).
 fn merge_split(cover: &mut Cover, split: usize) {
-    let cubes = cover.cubes().to_vec();
+    let cubes = cover.cubes();
     let mut used = vec![false; cubes.len()];
     let mut merged = Vec::new();
     for i in 0..cubes.len() {
@@ -66,11 +66,7 @@ fn merge_split(cover: &mut Cover, split: usize) {
                 if used[j] {
                     continue;
                 }
-                let mut a = ci.clone();
-                let mut b = cj.clone();
-                a.set_literal(split, None);
-                b.set_literal(split, None);
-                if a == b && ci.literal(split) != cj.literal(split) {
+                if ci.equal_except(cj, split) && ci.literal(split) != cj.literal(split) {
                     used[j] = true;
                     ci.set_literal(split, None);
                     break;

@@ -111,20 +111,19 @@ impl Cover {
     /// generalised cofactor): rows disjoint from `cube` are dropped, the
     /// rest have `cube`'s literals raised to don't-care.
     pub fn cofactor(&self, cube: &Cube) -> Cover {
-        let mut out = Vec::new();
-        for c in &self.cubes {
-            if !c.intersects(cube) {
-                continue;
-            }
-            let mut row = c.clone();
-            for (v, _pol) in cube.literals() {
-                row.set_literal(v, None);
-            }
-            out.push(row);
-        }
+        let cubes = self
+            .cubes
+            .iter()
+            .filter(|c| c.intersects(cube))
+            .map(|c| {
+                let mut row = c.clone();
+                row.raise_literals_of(cube);
+                row
+            })
+            .collect();
         Cover {
             num_vars: self.num_vars,
-            cubes: out,
+            cubes,
         }
     }
 
@@ -200,13 +199,13 @@ impl Cover {
         let mut pos = vec![0usize; n];
         let mut neg = vec![0usize; n];
         for c in &self.cubes {
-            for (v, pol) in c.literals() {
+            c.for_each_literal(|v, pol| {
                 if pol {
                     pos[v] += 1;
                 } else {
                     neg[v] += 1;
                 }
-            }
+            });
         }
         let mut best: Option<(usize, usize, usize)> = None; // (binate_min, total, var)
         for v in 0..n {

@@ -26,6 +26,8 @@ pub struct Cube {
 }
 
 const VARS_PER_WORD: usize = 32;
+/// The low bit of every two-bit slot.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
 
 impl Cube {
     /// The universal cube (every variable don't-care) over `num_vars`.
@@ -40,11 +42,9 @@ impl Cube {
     }
 
     fn mask_tail(&mut self) {
-        let used = self.num_vars % VARS_PER_WORD;
-        if used != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << (2 * used)) - 1;
-            }
+        if let Some(last) = self.words.len().checked_sub(1) {
+            let slots = self.slot_mask(last);
+            self.words[last] &= slots | slots << 1;
         }
     }
 
@@ -113,37 +113,38 @@ impl Cube {
         self.words[w] = (self.words[w] & !(0b11 << s)) | (bits << s);
     }
 
+    /// The even bits of word `i` that belong to a variable of the universe:
+    /// the low bit of every slot, tail slots excluded.
+    fn slot_mask(&self, i: usize) -> u64 {
+        let used = self.num_vars - i * VARS_PER_WORD;
+        if used >= VARS_PER_WORD {
+            LOW_BITS
+        } else {
+            LOW_BITS & ((1u64 << (2 * used)) - 1)
+        }
+    }
+
+    /// One bit per literal in word `w` (the low bit of each `01` or `10`
+    /// slot). Don't-care (`11`), empty (`00`) and tail slots give none.
+    fn literal_mask(w: u64) -> u64 {
+        (w ^ (w >> 1)) & LOW_BITS
+    }
+
     /// Whether some variable has the empty state (the cube denotes no
     /// minterm). Only intersections produce empty cubes.
     pub fn is_empty(&self) -> bool {
-        // A slot is empty iff both bits are 0. Detect any 00 pair.
-        for (i, &w) in self.words.iter().enumerate() {
-            let vars_here =
-                if i + 1 == self.words.len() && !self.num_vars.is_multiple_of(VARS_PER_WORD) {
-                    self.num_vars % VARS_PER_WORD
-                } else {
-                    VARS_PER_WORD
-                };
-            let lo = w & 0x5555_5555_5555_5555;
-            let hi = (w >> 1) & 0x5555_5555_5555_5555;
-            let nonempty = lo | hi; // slot has some bit
-            let mask = if vars_here == VARS_PER_WORD {
-                0x5555_5555_5555_5555
-            } else {
-                ((1u64 << (2 * vars_here)) - 1) & 0x5555_5555_5555_5555
-            };
-            if nonempty & mask != mask {
-                return true;
-            }
-        }
-        false
+        self.words
+            .iter()
+            .enumerate()
+            .any(|(i, &w)| (w | w >> 1) & self.slot_mask(i) != self.slot_mask(i))
     }
 
     /// Number of literals (non-don't-care variables).
     pub fn literal_count(&self) -> usize {
-        (0..self.num_vars)
-            .filter(|&v| self.literal(v).is_some())
-            .count()
+        self.words
+            .iter()
+            .map(|&w| Self::literal_mask(w).count_ones() as usize)
+            .sum()
     }
 
     /// Bitwise intersection; empty if the cubes conflict on some variable.
@@ -163,7 +164,15 @@ impl Cube {
 
     /// Whether the two cubes share at least one minterm.
     pub fn intersects(&self, other: &Cube) -> bool {
-        !self.intersection(other).is_empty()
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .all(|(i, (a, b))| {
+                let w = a & b;
+                (w | w >> 1) & self.slot_mask(i) == self.slot_mask(i)
+            })
     }
 
     /// Whether `self` contains `other` (every minterm of `other` is in
@@ -216,9 +225,48 @@ impl Cube {
 
     /// Variables carrying a literal, with polarity.
     pub fn literals(&self) -> Vec<(usize, bool)> {
-        (0..self.num_vars)
-            .filter_map(|v| self.literal(v).map(|pol| (v, pol)))
-            .collect()
+        let mut out = Vec::with_capacity(self.literal_count());
+        self.for_each_literal(|v, pol| out.push((v, pol)));
+        out
+    }
+
+    /// Calls `f(variable, polarity)` for every literal, in variable order.
+    pub(crate) fn for_each_literal(&self, mut f: impl FnMut(usize, bool)) {
+        for (i, &w) in self.words.iter().enumerate() {
+            let mut lits = Self::literal_mask(w);
+            while lits != 0 {
+                let bit = lits.trailing_zeros();
+                // A literal slot is `10` (positive) or `01` (negative).
+                f(
+                    i * VARS_PER_WORD + bit as usize / 2,
+                    (w >> (bit + 1)) & 1 == 1,
+                );
+                lits &= lits - 1;
+            }
+        }
+    }
+
+    /// Whether the cubes agree on every variable except `var`.
+    pub(crate) fn equal_except(&self, other: &Cube, var: usize) -> bool {
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        let (word, shift) = self.slot(var);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .all(|(i, (a, b))| {
+                let ignored = if i == word { 0b11 << shift } else { 0 };
+                (a ^ b) & !ignored == 0
+            })
+    }
+
+    /// Raises to don't-care every variable on which `other` has a literal.
+    pub(crate) fn raise_literals_of(&mut self, other: &Cube) {
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+            let lits = Self::literal_mask(b);
+            *a |= lits | lits << 1;
+        }
     }
 }
 
@@ -312,6 +360,25 @@ mod tests {
         let c = Cube::from_minterm(&[true, false, true]);
         assert_eq!(c.literal_count(), 3);
         assert_eq!(c.to_string(), "101");
+    }
+
+    #[test]
+    fn equal_except_ignores_only_the_given_variable() {
+        for n in [1, 31, 32, 33, 37, 64, 65] {
+            for var in [0, n / 2, n - 1] {
+                let mut a = Cube::from_literals(n, &[(0, true), (n - 1, false)]);
+                let mut b = a.clone();
+                b.set_literal(var, Some(a.literal(var) != Some(true)));
+                assert!(a.equal_except(&b, var), "n={n} var={var}");
+                for other in [0, n / 2, n - 1] {
+                    if other != var {
+                        a.set_literal(other, Some(b.literal(other) != Some(true)));
+                        assert!(!a.equal_except(&b, var), "n={n} var={var} other={other}");
+                        a.set_literal(other, b.literal(other));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,12 +59,18 @@ pub fn expand(cover: &Cover, off: &Cover) -> Cover {
     result
 }
 
-/// IRREDUNDANT: greedily removes cubes covered by the rest of the cover plus
-/// the don't-care set.
+/// IRREDUNDANT: greedily removes cubes whose ON-set points are covered by
+/// the rest of the cover.
+///
+/// `on` is the care ON-set: it must be disjoint from the don't-care set, and
+/// every cube of `cover` must be disjoint from the OFF-set. Then a cube is
+/// covered by the rest plus the don't-cares exactly when each of its pieces
+/// `o ∩ c`, for `o` in `on`, is covered by the rest alone, so the
+/// don't-care cover is never consulted.
 ///
 /// Cubes with the most literals (the most specific) are tried first, so the
 /// surviving cover leans on large primes.
-pub fn irredundant(cover: &Cover, dc: &Cover) -> Cover {
+pub fn irredundant(cover: &Cover, on: &Cover) -> Cover {
     let n = cover.num_vars();
     let mut cubes = cover.cubes().to_vec();
     // Most-specific first: they are the most likely to be redundant.
@@ -79,10 +85,9 @@ pub fn irredundant(cover: &Cover, dc: &Cover) -> Cover {
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i && !removed[j])
-                .map(|(_, c)| c.clone())
-                .chain(dc.cubes().iter().cloned()),
+                .map(|(_, c)| c.clone()),
         );
-        if rest.covers_cube(&cubes[i]) {
+        if on_points_covered(&cubes[i], on, &rest) {
             removed[i] = true;
         }
     }
@@ -98,9 +103,13 @@ pub fn irredundant(cover: &Cover, dc: &Cover) -> Cover {
 /// private part of the ON-set, opening room for the next EXPAND to escape a
 /// local minimum.
 ///
-/// Implements the classic formula `c~ = c ∩ supercube(complement((F∖c ∪ D)
-/// cofactored by c))`, applied sequentially so coverage is preserved.
-pub fn reduce(cover: &Cover, dc: &Cover) -> Cover {
+/// Each cube `c` becomes the supercube of the `on` points in `c` that the
+/// rest of the cover misses, or vanishes if there are none. Cubes are
+/// reduced sequentially, each against the already-reduced others, so
+/// coverage is preserved. `on` and `cover` must meet the conditions of
+/// [`irredundant`]; the result is then the classic
+/// `c ∩ supercube(complement((F∖c ∪ D) cofactored by c))`.
+pub fn reduce(cover: &Cover, on: &Cover) -> Cover {
     let n = cover.num_vars();
     let mut cubes = cover.cubes().to_vec();
     // Largest cubes first: standard espresso ordering for REDUCE.
@@ -108,27 +117,59 @@ pub fn reduce(cover: &Cover, dc: &Cover) -> Cover {
 
     let mut reduced: Vec<Option<Cube>> = cubes.iter().cloned().map(Some).collect();
     for i in 0..cubes.len() {
-        let c = cubes[i].clone();
         let rest = Cover::from_cubes(
             n,
             reduced
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
-                .filter_map(|(_, x)| x.clone())
-                .chain(dc.cubes().iter().cloned()),
+                .filter_map(|(_, x)| x.clone()),
         );
-        let comp = complement(&rest.cofactor(&c));
-        reduced[i] = match comp.cubes() {
-            // The rest covers everything under c: c can vanish entirely.
-            [] => None,
-            [first, more @ ..] => {
-                let sup = more.iter().fold(first.clone(), |acc, k| acc.supercube(k));
-                Some(c.intersection(&sup))
-            }
-        };
+        reduced[i] = on_pieces(&cubes[i], on)
+            .filter_map(|piece| uncovered_supercube(&piece, &rest))
+            .reduce(|acc, k| acc.supercube(&k));
     }
-    Cover::from_cubes(n, reduced.into_iter().flatten().filter(|c| !c.is_empty()))
+    Cover::from_cubes(n, reduced.into_iter().flatten())
+}
+
+/// The part of `on` outside `dc`, as IRREDUNDANT and REDUCE need it: `on`
+/// itself unless some ON cube meets a don't-care cube.
+pub(crate) fn care_on(on: &Cover, dc: &Cover) -> Cover {
+    let overlaps = on
+        .cubes()
+        .iter()
+        .any(|o| dc.cubes().iter().any(|d| d.intersects(o)));
+    if overlaps {
+        on.intersect(&complement(dc))
+    } else {
+        on.clone()
+    }
+}
+
+/// Whether `rest` covers every point of `on` inside `cube`.
+pub(crate) fn on_points_covered(cube: &Cube, on: &Cover, rest: &Cover) -> bool {
+    on_pieces(cube, on).all(|piece| uncovered_supercube(&piece, rest).is_none())
+}
+
+/// The non-empty pieces `o ∩ cube`, for `o` in `on`.
+fn on_pieces<'a>(cube: &'a Cube, on: &'a Cover) -> impl Iterator<Item = Cube> + 'a {
+    on.cubes()
+        .iter()
+        .filter(|o| o.intersects(cube))
+        .map(|o| o.intersection(cube))
+}
+
+/// The supercube of the points of the non-empty cube `piece` that `rest`
+/// misses, or `None` if `rest` covers all of `piece`.
+fn uncovered_supercube(piece: &Cube, rest: &Cover) -> Option<Cube> {
+    if piece.literal_count() == piece.num_vars() {
+        // A minterm is covered iff a single cube contains it.
+        return (!rest.cubes().iter().any(|r| r.contains(piece))).then(|| piece.clone());
+    }
+    let missed = complement(&rest.cofactor(piece));
+    let (first, more) = missed.cubes().split_first()?;
+    let sup = more.iter().fold(first.clone(), |acc, k| acc.supercube(k));
+    Some(piece.intersection(&sup))
 }
 
 /// Runs the full espresso loop: EXPAND, IRREDUNDANT, then REDUCE/EXPAND/
@@ -144,18 +185,19 @@ pub fn minimize(on: &Cover, dc: &Cover) -> MinimizeResult {
     let n = on.num_vars();
     assert_eq!(dc.num_vars(), n, "on/dc universe mismatch");
     let off = complement(&on.union(dc));
+    let care = care_on(on, dc);
 
     let mut f = on.clone();
     f.drop_contained();
     f = expand(&f, &off);
-    f = irredundant(&f, dc);
+    f = irredundant(&f, &care);
 
     let mut iterations = 1usize;
     loop {
         let cost = (f.cube_count(), f.literal_count());
-        let reduced = reduce(&f, dc);
+        let reduced = reduce(&f, &care);
         let expanded = expand(&reduced, &off);
-        let candidate = irredundant(&expanded, dc);
+        let candidate = irredundant(&expanded, &care);
         let new_cost = (candidate.cube_count(), candidate.literal_count());
         iterations += 1;
         if new_cost < cost {
@@ -169,7 +211,7 @@ pub fn minimize(on: &Cover, dc: &Cover) -> MinimizeResult {
     }
 
     debug_assert!(
-        on.cubes().iter().all(|c| f.union(dc).covers_cube(c)),
+        care.cubes().iter().all(|c| f.covers_cube(c)),
         "minimised cover lost part of the ON-set"
     );
     debug_assert!(
@@ -366,7 +408,7 @@ mod tests {
     #[test]
     fn reduce_keeps_coverage() {
         let on = Cover::from_cubes(3, vec![cube(3, &[(0, true)]), cube(3, &[(1, true)])]);
-        let reduced = reduce(&on, &Cover::empty(3));
+        let reduced = reduce(&on, &on);
         for c in on.cubes() {
             assert!(reduced.covers_cube(c), "lost {c}");
         }

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use crate::espresso::{care_on, on_points_covered};
 use crate::{complement, Cover, Cube};
 
 /// One shared product term: an input cube feeding the outputs in `outputs`
@@ -134,9 +135,12 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
     }
 
     // Irredundant phase, per output: drop connections whose contribution
-    // is covered by the other connected terms plus the don't-cares.
+    // is covered by the other connected terms plus the don't-cares. Every
+    // connection is disjoint from its output's OFF-set, so that is the
+    // ON-piece test of the single-output loop.
     #[allow(clippy::needless_range_loop)] // `o` also masks `cubes[i].outputs`
     for o in 0..m {
+        let care = care_on(&on[o], &dc[o]);
         // Process most-specific terms first, as in the single-output loop.
         let mut order: Vec<usize> = (0..cubes.len())
             .filter(|&i| cubes[i].outputs >> o & 1 == 1)
@@ -149,10 +153,9 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
                     .iter()
                     .enumerate()
                     .filter(|&(j, mc)| j != i && mc.outputs >> o & 1 == 1)
-                    .map(|(_, mc)| mc.cube.clone())
-                    .chain(dc[o].cubes().iter().cloned()),
+                    .map(|(_, mc)| mc.cube.clone()),
             );
-            if rest.covers_cube(&cubes[i].cube) {
+            if on_points_covered(&cubes[i].cube, &care, &rest) {
                 cubes[i].outputs &= !(1 << o);
             }
         }

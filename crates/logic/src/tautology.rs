@@ -30,13 +30,13 @@ pub fn is_tautology(cover: &Cover) -> bool {
     let mut pos = vec![false; n];
     let mut neg = vec![false; n];
     for c in cover.cubes() {
-        for (v, pol) in c.literals() {
+        c.for_each_literal(|v, pol| {
             if pol {
                 pos[v] = true;
             } else {
                 neg[v] = true;
             }
-        }
+        });
     }
     if (0..n).all(|v| !(pos[v] && neg[v])) {
         return false;
