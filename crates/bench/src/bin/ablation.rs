@@ -2,8 +2,8 @@
 //!
 //! * A1 — decomposition: formula sizes of the modular flow vs the direct
 //!   encoding across every benchmark.
-//! * A2 — SAT engine: conflict-driven learning vs chronological
-//!   branch-and-bound, and branching heuristics, on the direct encodings.
+//! * A2 — SAT engine: the CDCL core vs chronological branch-and-bound,
+//!   and branching heuristics, on the direct encodings.
 //! * A3 — assignment extraction: SAT's first model vs the BDD's
 //!   minimum-excitation model (the paper conclusion's area refinement).
 //!
@@ -16,10 +16,14 @@
 //! The A1 (formula sizes) and A3 (assignment extraction) measurements are
 //! also written as machine-readable records to `BENCH_ablation.json`.
 
-use modsyn::{encode_csc, modular_resolve, synthesize, CscSolveOptions, Method, SynthesisOptions};
+use modsyn::{
+    encode_csc, modular_resolve, solve_with_engine, synthesize, CscSolveOptions, Engine, Method,
+    SynthesisOptions,
+};
+use modsyn_fault::Faults;
 use modsyn_obs::Json;
-use modsyn_par::{par_map, unwrap_or_resume};
-use modsyn_sat::{Heuristic, Outcome, Solver, SolverOptions};
+use modsyn_par::{par_map, unwrap_or_resume, CancelToken};
+use modsyn_sat::{Heuristic, Outcome, SolverOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::benchmarks;
 
@@ -102,22 +106,21 @@ fn main() {
         let m = analysis.lower_bound.max(1);
         let encoding = encode_csc(&sg, &analysis, m);
         let mut cells = Vec::new();
-        for (learning, heuristic) in [
-            (true, Heuristic::Activity),
-            (false, Heuristic::JeroslowWang),
-            (false, Heuristic::FirstUnassigned),
+        for (engine, heuristic) in [
+            (Engine::Cdcl, Heuristic::default()),
+            (Engine::Dpll, Heuristic::JeroslowWang),
+            (Engine::Dpll, Heuristic::FirstUnassigned),
         ] {
-            let mut solver = Solver::new(
+            let (outcome, stats) = solve_with_engine(
+                engine,
                 &encoding.formula,
                 SolverOptions {
                     heuristic,
-                    learning,
                     max_backtracks: Some(50_000),
-                    max_decisions: None,
                 },
+                &CancelToken::never(),
+                &Faults::none(),
             );
-            let outcome = solver.solve();
-            let stats = solver.stats();
             cells.push(match outcome {
                 Outcome::Satisfiable(_) => format!("{}", stats.backtracks),
                 Outcome::Unsatisfiable => format!("{} (unsat)", stats.backtracks),

@@ -7,9 +7,9 @@
 //! * **method**: modular vs direct vs Lavagno,
 //! * **parallelism**: serial vs `--jobs 4` (must produce *identical*
 //!   reports),
-//! * **SAT configuration**: the default solver vs three single-solver
-//!   referee configurations of the classic engine (Activity+learning,
-//!   Jeroslow-Wang chronological, MOMS chronological),
+//! * **SAT configuration**: the default solver vs two single-solver
+//!   referee configurations of the classic chronological engine (Activity
+//!   and MOMS branching),
 //! * **SAT engine**: the default CDCL core vs the classic DPLL engine —
 //!   independent deciders over the same CSC encodings must synthesise
 //!   observation-equivalent circuits.
@@ -60,14 +60,10 @@ fn configs(limit: u64) -> Vec<Config> {
         max_backtracks: Some(limit),
         ..SolverOptions::default()
     };
-    let referee = |label: &str, heuristic: Heuristic, learning: bool| Config {
+    let referee = |label: &str, heuristic: Heuristic| Config {
         label: format!("modular/dpll-{label}"),
         method: Method::Modular,
-        solver: SolverOptions {
-            heuristic,
-            learning,
-            ..base
-        },
+        solver: SolverOptions { heuristic, ..base },
         engine: Engine::Dpll,
         jobs: 1,
     };
@@ -107,11 +103,10 @@ fn configs(limit: u64) -> Vec<Config> {
             engine: Engine::default(),
             jobs: 1,
         },
-        // Single-solver referees: the classic engine under three decision
-        // heuristics, with and without learning.
-        referee("activity-learning", Heuristic::Activity, true),
-        referee("jw-chrono", Heuristic::JeroslowWang, false),
-        referee("moms-chrono", Heuristic::Moms, false),
+        // Single-solver referees: the chronological engine under the two
+        // heuristics `modular/dpll` (Jeroslow-Wang) does not use.
+        referee("activity-chrono", Heuristic::Activity),
+        referee("moms-chrono", Heuristic::Moms),
     ]
 }
 

@@ -1,7 +1,7 @@
 //! `modsat` — solve a DIMACS CNF file.
 //!
 //! ```text
-//! modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono]
+//! modsat <file.cnf | -> [--engine dpll|cdcl]
 //!        [--heuristic first|jw|moms|activity] [--max-backtracks N]
 //!        [--timeout-ms T] [--stats]
 //! ```
@@ -13,7 +13,7 @@
 //!
 //! `--engine` selects the SAT core: `cdcl` (default) is the modern
 //! conflict-driven core, `dpll` the classic chronological engine
-//! (`--chrono`/`--heuristic` apply only there). `--timeout-ms` aborts
+//! (`--heuristic` applies only there). `--timeout-ms` aborts
 //! cooperatively after `T` milliseconds.
 
 use std::io::Read as _;
@@ -25,7 +25,7 @@ use modsyn_fault::Faults;
 use modsyn_par::CancelToken;
 use modsyn_sat::{parse_dimacs, Heuristic, Lit, Outcome, SolverOptions, Var};
 
-const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono] \
+const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl] \
                      [--heuristic first|jw|moms|activity] [--max-backtracks N] [--timeout-ms T] \
                      [--stats]";
 
@@ -52,7 +52,6 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--chrono" => options.learning = false,
             "--heuristic" => {
                 let Some(v) = it.next() else {
                     eprintln!("--heuristic needs a value");
@@ -146,7 +145,7 @@ fn main() -> ExitCode {
             println!("s UNSATISFIABLE");
             ExitCode::from(20)
         }
-        Outcome::BacktrackLimit | Outcome::DecisionLimit | Outcome::Aborted => {
+        Outcome::BacktrackLimit | Outcome::Aborted => {
             println!("s UNKNOWN");
             ExitCode::SUCCESS
         }

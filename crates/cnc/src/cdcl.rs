@@ -1,5 +1,5 @@
-//! The CDCL core: a conflict-driven clause-learning solver with the full
-//! modern toolkit the lighter `modsyn-sat` engine deliberately omits —
+//! The CDCL core: the workspace's one conflict-driven solver, with the
+//! modern toolkit the chronological `modsyn-sat` engine deliberately omits —
 //! blocker-literal watch lists, deep (recursive) learned-clause
 //! minimisation, a heap-backed VSIDS order, LBD-aware clause-database
 //! reduction with glue protection, Luby restarts, phase saving, and
@@ -19,15 +19,13 @@ use modsyn_sat::{CnfFormula, Lit, Model, Outcome, SolverStats, Var};
 /// Search limits for a [`Cdcl`] solver.
 ///
 /// `max_conflicts` is the CDCL analogue of the paper's SAT backtrack
-/// limit: in a learning solver every conflict is one (non-chronological)
+/// limit: in a CDCL solver every conflict is one (non-chronological)
 /// backtrack, so the two counters coincide and the limit surfaces as
 /// [`Outcome::BacktrackLimit`] exactly like the classic engine's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CdclOptions {
     /// Abort with [`Outcome::BacktrackLimit`] after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Abort with [`Outcome::DecisionLimit`] after this many decisions.
-    pub max_decisions: Option<u64>,
 }
 
 const UNASSIGNED: u8 = 2;
@@ -156,7 +154,7 @@ impl VarOrder {
     }
 }
 
-/// Conflict-driven clause-learning SAT engine over a borrowed
+/// Conflict-driven (CDCL) SAT engine over a borrowed
 /// [`CnfFormula`].
 #[derive(Debug)]
 pub struct Cdcl<'f> {
@@ -310,7 +308,7 @@ impl<'f> Cdcl<'f> {
         self.extra
     }
 
-    /// Average LBD of the learned clauses, rounded; 0 before any learning.
+    /// Average LBD of the learned clauses, rounded; 0 before the first learned clause.
     pub fn avg_lbd(&self) -> u64 {
         self.extra
             .lbd_sum
@@ -896,11 +894,6 @@ impl<'f> Cdcl<'f> {
                 }
             };
             self.stats.decisions += 1;
-            if let Some(limit) = self.options.max_decisions {
-                if self.stats.decisions > limit {
-                    return Outcome::DecisionLimit;
-                }
-            }
             self.level_starts.push(self.trail.len());
             self.assign(decision, NO_REASON);
         }
@@ -959,7 +952,6 @@ impl<'f> Cdcl<'f> {
                 Outcome::Satisfiable(_) => "sat",
                 Outcome::Unsatisfiable => "unsat",
                 Outcome::BacktrackLimit => "backtrack-limit",
-                Outcome::DecisionLimit => "decision-limit",
                 Outcome::Aborted => "aborted",
             },
         );
@@ -1062,7 +1054,6 @@ mod tests {
             &f,
             CdclOptions {
                 max_conflicts: Some(3),
-                ..Default::default()
             },
         );
         assert_eq!(s.solve(), Outcome::BacktrackLimit);

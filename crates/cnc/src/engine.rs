@@ -12,9 +12,9 @@ use crate::cdcl::{Cdcl, CdclOptions};
 /// Which SAT core decides the CSC formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The classic `modsyn-sat` engine (CDCL-light with learning, or pure
-    /// chronological branch-and-bound per `SolverOptions::learning`) — the
-    /// paper-faithful baseline and ablation reference.
+    /// The classic `modsyn-sat` engine: chronological branch-and-bound
+    /// under the selected decision heuristic, the search of the SIS program
+    /// the paper used — the paper-faithful baseline and ablation reference.
     Dpll,
     /// The `modsyn-cnc` CDCL core: heap VSIDS, deep clause minimisation,
     /// LBD-aware deletion, Luby restarts. The default.
@@ -51,8 +51,7 @@ impl std::fmt::Display for Engine {
 /// cancel token and fault handle.
 ///
 /// `solver` carries the shared limits: `max_backtracks` maps onto the CDCL
-/// core's conflict budget; `heuristic`/`learning` only affect
-/// [`Engine::Dpll`].
+/// core's conflict budget; `heuristic` only affects [`Engine::Dpll`].
 pub fn solve_with_engine_traced(
     engine: Engine,
     formula: &CnfFormula,
@@ -74,7 +73,6 @@ pub fn solve_with_engine_traced(
                 formula,
                 CdclOptions {
                     max_conflicts: solver.max_backtracks,
-                    max_decisions: solver.max_decisions,
                 },
             )
             .with_cancel(cancel.clone())

@@ -12,13 +12,16 @@
 //!   transition in any state — so some instances have no solution without
 //!   state splitting and fail with
 //!   [`SynthesisError::StateSplittingRequired`], the analogue of the SIS
-//!   "internal state error" on `mmu0`/`pa`;
-//! * it searches with the naive first-unassigned branching rule, modelling
-//!   the older, less informed search.
+//!   "internal state error" on `mmu0`/`pa`.
+//!
+//! Its race-free formulas are decided by the `modsyn-cnc` CDCL core, the
+//! workspace's one conflict-driven engine, under the caller's conflict
+//! budget and cancel token.
 
+use modsyn_cnc::{Cdcl, CdclOptions};
 use modsyn_par::CancelToken;
 use modsyn_petri::NetClass;
-use modsyn_sat::{Heuristic, Lit, Outcome, Solver, SolverOptions};
+use modsyn_sat::{Lit, Outcome};
 use modsyn_sg::{insert_state_signals, StateGraph};
 use modsyn_stg::Stg;
 
@@ -87,13 +90,8 @@ pub fn lavagno_resolve(
     }
 
     let start = std::time::Instant::now();
-    // Naive fixed branching order, modelling the older, less informed
-    // search; learning stays on so UNSAT verdicts terminate.
-    let solver_options = SolverOptions {
-        heuristic: Heuristic::FirstUnassigned,
-        max_backtracks: options.max_backtracks,
-        max_decisions: None,
-        learning: true,
+    let solver_options = CdclOptions {
+        max_conflicts: options.max_backtracks,
     };
     let mut formulas = Vec::new();
     let mut m = analysis.lower_bound.max(1);
@@ -113,7 +111,7 @@ pub fn lavagno_resolve(
             }
         }
         let mut solver =
-            Solver::new(&encoding.formula, solver_options).with_cancel(options.cancel.clone());
+            Cdcl::new(&encoding.formula, solver_options).with_cancel(options.cancel.clone());
         let outcome = solver.solve();
         formulas.push(FormulaStat {
             state_signals: m,
@@ -134,7 +132,7 @@ pub fn lavagno_resolve(
                 });
             }
             Outcome::Unsatisfiable => m += 1,
-            Outcome::BacktrackLimit | Outcome::DecisionLimit => {
+            Outcome::BacktrackLimit => {
                 return Err(SynthesisError::BacktrackLimit {
                     state_signals: m,
                     elapsed: start.elapsed().as_secs_f64(),

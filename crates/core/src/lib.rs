@@ -78,9 +78,9 @@ pub use solve::{
 };
 pub use synth::{synthesize, synthesize_traced, Method, SynthesisOptions, SynthesisReport};
 
-/// Re-exported so callers selecting a SAT engine (`modsyn --engine`,
-/// `modsat --engine`) need not depend on `modsyn-cnc` directly.
-pub use modsyn_cnc::Engine;
+/// Re-exported so callers selecting a SAT engine (`modsyn --engine`, the
+/// ablation bench) need not depend on `modsyn-cnc` directly.
+pub use modsyn_cnc::{solve_with_engine, Engine};
 
 // Store types surfaced through the options/report API, re-exported so
 // callers need not depend on modsyn-store directly.

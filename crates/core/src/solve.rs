@@ -356,7 +356,7 @@ pub fn solve_csc_scoped_traced(
             Outcome::Unsatisfiable => {
                 m += 1;
             }
-            Outcome::BacktrackLimit | Outcome::DecisionLimit => {
+            Outcome::BacktrackLimit => {
                 return Err(SynthesisError::BacktrackLimit {
                     state_signals: m,
                     elapsed: start.elapsed().as_secs_f64(),

@@ -22,7 +22,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use modsyn::{certify_report, synthesize, Engine, Method, SynthesisOptions};
+use modsyn::{certify_report, synthesize, Method, SynthesisOptions};
 use modsyn_petri::NetClass;
 use modsyn_sat::SolverOptions;
 use modsyn_sg::{derive, StateGraph};
@@ -155,15 +155,6 @@ fn method_options(method: Method, eval: &EvalOptions) -> SynthesisOptions {
         max_backtracks: Some(budget),
         ..SolverOptions::default()
     };
-    // The certified pools were pre-screened with the classic engine, and
-    // in-theory-ness is model-path-dependent: the modular flow feeds each
-    // module's satisfying model into the next module's formula, so a
-    // different engine's (equally correct) first model can steer a
-    // pre-screened composition into an insertion path with no solution
-    // under the case budgets. The corpus therefore pins the engine the
-    // pools were certified with; the engine matrix is exercised by
-    // `differ` (benchmark + corpus legs) and the cnc/sat_props suites.
-    options.engine = Engine::Dpll;
     options
 }
 

@@ -40,7 +40,6 @@ mod exhaustive;
 mod heuristic;
 mod lit;
 mod model;
-mod simplify;
 mod solver;
 mod stats;
 
@@ -51,6 +50,5 @@ pub use exhaustive::{solve_exhaustive, EXHAUSTIVE_VAR_LIMIT};
 pub use heuristic::Heuristic;
 pub use lit::{Lit, Var};
 pub use model::Model;
-pub use simplify::{simplify, SimplifyResult};
 pub use solver::{solve, Outcome, Solver, SolverOptions};
 pub use stats::SolverStats;

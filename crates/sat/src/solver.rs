@@ -1,6 +1,6 @@
-//! The search engines: conflict-driven clause learning (default) and
-//! classic chronological DPLL (the branch-and-bound mode of the original
-//! SIS solver, kept for baselines and ablations).
+//! The search engine: classic chronological DPLL, the branch-and-bound
+//! search of the original SIS solver the paper used. Conflict-driven
+//! search lives in `modsyn-cnc`'s `Cdcl`.
 
 use modsyn_fault::{site, FaultHook, Faults};
 use modsyn_obs::Tracer;
@@ -9,34 +9,15 @@ use modsyn_par::CancelToken;
 use crate::heuristic::static_scores;
 use crate::{CnfFormula, Heuristic, Lit, Model, SolverStats, Var};
 
-/// Search limits and heuristic selection for a [`Solver`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Search limit and heuristic selection for a [`Solver`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverOptions {
-    /// Branching heuristic. With learning enabled, [`Heuristic::Activity`]
-    /// follows conflict-driven VSIDS scores; the static heuristics seed the
-    /// initial order.
+    /// Branching heuristic.
     pub heuristic: Heuristic,
     /// Abort with [`Outcome::BacktrackLimit`] after this many conflicts,
     /// mirroring the backtrack limit of the SIS branch-and-bound SAT
     /// program the paper used.
     pub max_backtracks: Option<u64>,
-    /// Abort with [`Outcome::DecisionLimit`] after this many decisions.
-    pub max_decisions: Option<u64>,
-    /// Enable conflict-driven clause learning with non-chronological
-    /// backjumping and restarts. Disabled, the solver backtracks
-    /// chronologically like the original branch-and-bound program.
-    pub learning: bool,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            heuristic: Heuristic::default(),
-            max_backtracks: None,
-            max_decisions: None,
-            learning: true,
-        }
-    }
 }
 
 /// Result of a [`Solver::solve`] call.
@@ -49,8 +30,6 @@ pub enum Outcome {
     /// The backtrack/conflict limit was hit before a verdict (the paper's
     /// "SAT Backtrack Limit" abort).
     BacktrackLimit,
-    /// The decision limit was hit before a verdict.
-    DecisionLimit,
     /// The solver's [`CancelToken`] fired (explicit cancellation or an
     /// expired deadline) before a verdict.
     Aborted,
@@ -77,7 +56,6 @@ impl Outcome {
 }
 
 const UNASSIGNED: u8 = 2;
-const NO_REASON: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct ChronoFrame {
@@ -94,28 +72,19 @@ struct ChronoFrame {
 pub struct Solver<'f> {
     formula: &'f CnfFormula,
     options: SolverOptions,
-    /// Clause literal arrays, positions 0 and 1 watched. Learned clauses
-    /// are appended after the problem clauses.
+    /// Clause literal arrays, positions 0 and 1 watched.
     clauses: Vec<Vec<Lit>>,
     watches: Vec<Vec<u32>>,
     /// Per-variable values: 0 = false, 1 = true, 2 = unassigned.
     values: Vec<u8>,
-    /// Per-variable decision level.
-    levels: Vec<u32>,
-    /// Per-variable reason clause (NO_REASON for decisions/unset).
-    reasons: Vec<u32>,
     trail: Vec<Lit>,
-    /// Trail indices where each decision level starts (learning mode).
-    level_starts: Vec<usize>,
     qhead: usize,
-    /// Chronological-mode decision stack.
+    /// The decision stack.
     frames: Vec<ChronoFrame>,
     scores: Vec<(f64, f64)>,
     activity: Vec<f64>,
     activity_inc: f64,
     saved_phase: Vec<bool>,
-    /// Scratch for conflict analysis.
-    seen: Vec<bool>,
     stats: SolverStats,
     /// Cooperative cancellation, polled every [`CANCEL_POLL_MASK`]+1
     /// search-loop iterations. Inert by default.
@@ -130,7 +99,7 @@ pub struct Solver<'f> {
     fault_tick: u64,
 }
 
-/// The search loops poll the cancel token once every `CANCEL_POLL_MASK + 1`
+/// The search loop polls the cancel token once every `CANCEL_POLL_MASK + 1`
 /// iterations, keeping the atomic load (and possible clock read) off the
 /// hot path.
 const CANCEL_POLL_MASK: u64 = 0xFF;
@@ -139,34 +108,19 @@ impl<'f> Solver<'f> {
     /// Prepares a solver for `formula`.
     pub fn new(formula: &'f CnfFormula, options: SolverOptions) -> Self {
         let n = formula.num_vars();
-        let scores = static_scores(
-            formula,
-            if options.learning {
-                Heuristic::JeroslowWang
-            } else {
-                options.heuristic
-            },
-        );
-        // Seed dynamic activity with the static scores so early decisions
-        // are informed.
-        let activity: Vec<f64> = scores.iter().map(|&(p, q)| p + q).collect();
         Solver {
             formula,
             options,
             clauses: Vec::new(),
             watches: vec![Vec::new(); 2 * n],
             values: vec![UNASSIGNED; n],
-            levels: vec![0; n],
-            reasons: vec![NO_REASON; n],
             trail: Vec::new(),
-            level_starts: Vec::new(),
             qhead: 0,
             frames: Vec::new(),
-            scores,
-            activity,
+            scores: static_scores(formula, options.heuristic),
+            activity: vec![0.0; n],
             activity_inc: 1.0,
             saved_phase: vec![false; n],
-            seen: vec![false; n],
             stats: SolverStats::default(),
             cancel: CancelToken::never(),
             tick: 0,
@@ -175,8 +129,8 @@ impl<'f> Solver<'f> {
         }
     }
 
-    /// Attaches a cancellation token: the search loops poll it
-    /// periodically and return [`Outcome::Aborted`] once it fires. Keeping
+    /// Attaches a cancellation token: the search loop polls it
+    /// periodically and returns [`Outcome::Aborted`] once it fires. Keeping
     /// this off [`SolverOptions`] preserves that type's `Copy` contract
     /// (DESIGN.md §7).
     #[must_use]
@@ -185,9 +139,9 @@ impl<'f> Solver<'f> {
         self
     }
 
-    /// Attaches a fault-injection handle: the search loops probe the
+    /// Attaches a fault-injection handle: the search loop probes the
     /// `sat.abort` and `sat.conflict-storm` sites at the cancellation
-    /// cadence and return the corresponding outcome when a rule fires.
+    /// cadence and returns the corresponding outcome when a rule fires.
     /// Like [`Solver::with_cancel`], this lives off [`SolverOptions`] to
     /// preserve that type's `Copy` contract; a disarmed handle costs one
     /// branch per poll window.
@@ -244,26 +198,20 @@ impl<'f> Solver<'f> {
         }
     }
 
-    fn current_level(&self) -> u32 {
-        self.level_starts.len() as u32
-    }
-
-    fn assign(&mut self, lit: Lit, reason: u32) {
+    fn assign(&mut self, lit: Lit) {
         let idx = lit.var().index();
         debug_assert_eq!(self.values[idx], UNASSIGNED);
         self.values[idx] = u8::from(lit.is_positive());
-        self.levels[idx] = self.current_level();
-        self.reasons[idx] = reason;
         self.trail.push(lit);
     }
 
-    /// Enqueue for chronological mode (no reason tracking needed).
+    /// Assigns `lit` unless already set; false if it is already false.
     fn enqueue(&mut self, lit: Lit) -> bool {
         match self.lit_value(lit) {
             0 => false,
             1 => true,
             _ => {
-                self.assign(lit, NO_REASON);
+                self.assign(lit);
                 true
             }
         }
@@ -320,7 +268,7 @@ impl<'f> Solver<'f> {
                     self.watches[false_lit.index()] = ws;
                     return Some(cid);
                 }
-                self.assign(first, cid);
+                self.assign(first);
                 self.stats.propagations += 1;
                 i += 1;
             }
@@ -348,7 +296,7 @@ impl<'f> Solver<'f> {
                 .position(|&v| v == UNASSIGNED)
                 .map(|i| Lit::positive(Var::new(i)));
         }
-        if self.options.learning || self.options.heuristic == Heuristic::Activity {
+        if self.options.heuristic == Heuristic::Activity {
             let mut best: Option<(f64, usize)> = None;
             for (i, &v) in self.values.iter().enumerate() {
                 if v != UNASSIGNED {
@@ -384,114 +332,17 @@ impl<'f> Solver<'f> {
             let idx = l.var().index();
             self.saved_phase[idx] = l.is_positive();
             self.values[idx] = UNASSIGNED;
-            self.reasons[idx] = NO_REASON;
         }
         self.qhead = self.trail.len();
     }
 
-    /// 1-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let current = self.current_level();
-        let mut learned: Vec<Lit> = vec![Lit::positive(Var::new(0))]; // placeholder slot 0
-        let mut counter = 0usize;
-        let mut index = self.trail.len();
-        let mut reason = conflict;
-        let mut resolve_lit: Option<Lit> = None;
-
-        loop {
-            // Skip the literal we resolved on (position irrelevant).
-            let skip = resolve_lit.map(|l| l.var());
-            let lits: Vec<Lit> = self.clauses[reason as usize].clone();
-            for l in lits {
-                if Some(l.var()) == skip {
-                    continue;
-                }
-                let vi = l.var().index();
-                if self.seen[vi] || self.levels[vi] == 0 {
-                    continue;
-                }
-                self.seen[vi] = true;
-                self.bump(l.var());
-                if self.levels[vi] >= current {
-                    counter += 1;
-                } else {
-                    learned.push(l);
-                }
-            }
-            // Find the next trail literal to resolve on.
-            loop {
-                index -= 1;
-                let l = self.trail[index];
-                if self.seen[l.var().index()] {
-                    resolve_lit = Some(l);
-                    break;
-                }
-            }
-            let l = resolve_lit.expect("found a seen literal");
-            self.seen[l.var().index()] = false;
-            counter -= 1;
-            if counter == 0 {
-                learned[0] = !l;
-                break;
-            }
-            reason = self.reasons[l.var().index()];
-            debug_assert_ne!(reason, NO_REASON, "resolved literal must be implied");
-        }
-
-        // Clause minimisation: a non-asserting literal whose reason clause
-        // lies entirely inside the learned clause (or level 0) is implied
-        // by the others and can be dropped.
-        let in_learned: Vec<Var> = learned.iter().map(|l| l.var()).collect();
-        let mut keep: Vec<Lit> = vec![learned[0]];
-        for &l in &learned[1..] {
-            let reason = self.reasons[l.var().index()];
-            let redundant = reason != NO_REASON
-                && self.clauses[reason as usize].iter().all(|&rl| {
-                    rl.var() == l.var()
-                        || self.levels[rl.var().index()] == 0
-                        || in_learned.contains(&rl.var())
-                });
-            if !redundant {
-                keep.push(l);
-            }
-        }
-        let mut learned = keep;
-
-        for l in &learned {
-            self.seen[l.var().index()] = false;
-        }
-        // Also clear any literal dropped by minimisation.
-        for v in in_learned {
-            self.seen[v.index()] = false;
-        }
-        // Backjump level: highest level among the non-asserting literals.
-        // Move a literal of that level to position 1 so the two-watched
-        // invariant holds after the jump (position 0 becomes unassigned,
-        // position 1 is the most recently falsified literal).
-        let mut backjump = 0u32;
-        let mut second = 1usize;
-        for (i, l) in learned.iter().enumerate().skip(1) {
-            let level = self.levels[l.var().index()];
-            if level > backjump {
-                backjump = level;
-                second = i;
-            }
-        }
-        if learned.len() > 1 {
-            learned.swap(1, second);
-        }
-        (learned, backjump)
-    }
-
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
+    fn attach_clause(&mut self, lits: Vec<Lit>) {
         let cid = self.clauses.len() as u32;
         debug_assert!(lits.len() >= 2);
         self.watches[lits[0].index()].push(cid);
         self.watches[lits[1].index()].push(cid);
         self.clauses.push(lits);
         self.stats.peak_clauses = self.stats.peak_clauses.max(self.clauses.len());
-        cid
     }
 
     fn install_problem_clauses(&mut self) -> Option<Outcome> {
@@ -506,9 +357,7 @@ impl<'f> Solver<'f> {
                         return Some(Outcome::Unsatisfiable);
                     }
                 }
-                _ => {
-                    self.attach_clause(clause.clone());
-                }
+                _ => self.attach_clause(clause.clone()),
             }
         }
         None
@@ -518,11 +367,8 @@ impl<'f> Solver<'f> {
         self.stats = SolverStats::default();
         self.trail.clear();
         self.frames.clear();
-        self.level_starts.clear();
         self.qhead = 0;
         self.values.fill(UNASSIGNED);
-        self.reasons.fill(NO_REASON);
-        self.levels.fill(0);
         for w in &mut self.watches {
             w.clear();
         }
@@ -539,11 +385,7 @@ impl<'f> Solver<'f> {
         if let Some(early) = self.install_problem_clauses() {
             return early;
         }
-        if self.options.learning {
-            self.solve_cdcl()
-        } else {
-            self.solve_chronological()
-        }
+        self.solve_chronological()
     }
 
     /// [`Solver::solve`] wrapped in a `sat.solve` observability span:
@@ -590,7 +432,6 @@ impl<'f> Solver<'f> {
                 Outcome::Satisfiable(_) => "sat",
                 Outcome::Unsatisfiable => "unsat",
                 Outcome::BacktrackLimit => "backtrack-limit",
-                Outcome::DecisionLimit => "decision-limit",
                 Outcome::Aborted => "aborted",
             },
         );
@@ -602,79 +443,6 @@ impl<'f> Solver<'f> {
         let model = Model::from_values(values);
         debug_assert!(model.check(self.formula));
         model
-    }
-
-    fn solve_cdcl(&mut self) -> Outcome {
-        let mut restart_limit = 100u64;
-        let mut conflicts_since_restart = 0u64;
-
-        loop {
-            if self.poll_cancelled() {
-                return Outcome::Aborted;
-            }
-            if let Some(injected) = self.poll_injected() {
-                return injected;
-            }
-            if let Some(conflict) = self.propagate() {
-                self.stats.backtracks += 1;
-                self.stats.conflicts += 1;
-                conflicts_since_restart += 1;
-                if let Some(limit) = self.options.max_backtracks {
-                    if self.stats.backtracks > limit {
-                        return Outcome::BacktrackLimit;
-                    }
-                }
-                if self.current_level() == 0 {
-                    return Outcome::Unsatisfiable;
-                }
-                let (learned, backjump) = self.analyze(conflict);
-                self.stats.learned_clauses += 1;
-                self.stats.learned_literals += learned.len() as u64;
-                self.activity_inc *= 1.0 / 0.95;
-                // Backjump.
-                let target = self.level_starts[backjump as usize];
-                self.unassign_to(target);
-                self.level_starts.truncate(backjump as usize);
-                let assert_lit = learned[0];
-                if learned.len() == 1 {
-                    debug_assert_eq!(self.current_level(), backjump);
-                    if !self.enqueue(assert_lit) {
-                        return Outcome::Unsatisfiable;
-                    }
-                } else {
-                    let cid = self.attach_clause(learned);
-                    self.assign(assert_lit, cid);
-                }
-                continue;
-            }
-
-            if conflicts_since_restart >= restart_limit {
-                conflicts_since_restart = 0;
-                self.stats.restarts += 1;
-                restart_limit = restart_limit + restart_limit / 2;
-                self.unassign_to(
-                    self.level_starts
-                        .first()
-                        .copied()
-                        .unwrap_or(self.trail.len()),
-                );
-                self.level_starts.clear();
-                continue;
-            }
-
-            let Some(lit) = self.pick_branch_lit() else {
-                return Outcome::Satisfiable(self.build_model());
-            };
-            self.stats.decisions += 1;
-            if let Some(limit) = self.options.max_decisions {
-                if self.stats.decisions > limit {
-                    return Outcome::DecisionLimit;
-                }
-            }
-            self.level_starts.push(self.trail.len());
-            self.stats.max_level = self.stats.max_level.max(self.level_starts.len());
-            self.assign(lit, NO_REASON);
-        }
     }
 
     fn solve_chronological(&mut self) -> Outcome {
@@ -703,7 +471,6 @@ impl<'f> Solver<'f> {
                         return Outcome::Unsatisfiable;
                     };
                     self.unassign_to(frame.trail_len);
-                    self.level_starts.truncate(self.frames.len());
                     if !frame.flipped {
                         let flipped_lit = !frame.lit;
                         self.frames.push(ChronoFrame {
@@ -711,7 +478,6 @@ impl<'f> Solver<'f> {
                             lit: flipped_lit,
                             flipped: true,
                         });
-                        self.level_starts.push(self.trail.len());
                         let ok = self.enqueue(flipped_lit);
                         debug_assert!(ok, "flipped decision literal was already false");
                         break;
@@ -724,17 +490,11 @@ impl<'f> Solver<'f> {
                 return Outcome::Satisfiable(self.build_model());
             };
             self.stats.decisions += 1;
-            if let Some(limit) = self.options.max_decisions {
-                if self.stats.decisions > limit {
-                    return Outcome::DecisionLimit;
-                }
-            }
             self.frames.push(ChronoFrame {
                 trail_len: self.trail.len(),
                 lit,
                 flipped: false,
             });
-            self.level_starts.push(self.trail.len());
             self.stats.max_level = self.stats.max_level.max(self.frames.len());
             let ok = self.enqueue(lit);
             debug_assert!(ok, "decision literal was already assigned");
@@ -762,11 +522,18 @@ mod tests {
         Lit::with_polarity(Var::new(i), pos)
     }
 
-    fn chrono() -> SolverOptions {
-        SolverOptions {
-            learning: false,
+    /// The solver under each decision heuristic.
+    fn every_heuristic() -> [SolverOptions; 4] {
+        [
+            Heuristic::FirstUnassigned,
+            Heuristic::JeroslowWang,
+            Heuristic::Moms,
+            Heuristic::Activity,
+        ]
+        .map(|heuristic| SolverOptions {
+            heuristic,
             ..Default::default()
-        }
+        })
     }
 
     /// Pigeonhole principle PHP(n+1, n): unsatisfiable, exponential for DPLL.
@@ -791,7 +558,7 @@ mod tests {
     fn trivially_sat_both_engines() {
         let mut f = CnfFormula::new(1);
         f.add_clause([lit(0, true)]);
-        for opts in [SolverOptions::default(), chrono()] {
+        for opts in every_heuristic() {
             let out = solve(&f, opts);
             assert!(out.is_sat());
             assert!(out.model().unwrap().value(Var::new(0)));
@@ -809,7 +576,7 @@ mod tests {
         let mut f = CnfFormula::new(1);
         f.add_clause([lit(0, true)]);
         f.add_clause([lit(0, false)]);
-        for opts in [SolverOptions::default(), chrono()] {
+        for opts in every_heuristic() {
             assert_eq!(solve(&f, opts), Outcome::Unsatisfiable);
         }
     }
@@ -821,42 +588,21 @@ mod tests {
         f.add_clause([lit(0, false), lit(1, false)]);
         f.add_clause([lit(1, true), lit(2, true)]);
         f.add_clause([lit(1, false), lit(2, false)]);
-        for h in [
-            Heuristic::FirstUnassigned,
-            Heuristic::JeroslowWang,
-            Heuristic::Moms,
-            Heuristic::Activity,
-        ] {
-            for learning in [true, false] {
-                let out = solve(
-                    &f,
-                    SolverOptions {
-                        heuristic: h,
-                        learning,
-                        ..Default::default()
-                    },
-                );
-                let model = out
-                    .model()
-                    .unwrap_or_else(|| panic!("{h:?}/{learning} failed"));
-                assert!(model.check(&f));
-            }
+        for opts in every_heuristic() {
+            let out = solve(&f, opts);
+            let model = out
+                .model()
+                .unwrap_or_else(|| panic!("{:?} failed", opts.heuristic));
+            assert!(model.check(&f));
         }
     }
 
     #[test]
     fn pigeonhole_is_unsat_under_both_engines() {
         let f = pigeonhole(3);
-        for opts in [SolverOptions::default(), chrono()] {
+        for opts in every_heuristic() {
             assert_eq!(solve(&f, opts), Outcome::Unsatisfiable);
         }
-    }
-
-    #[test]
-    fn cdcl_handles_larger_pigeonhole() {
-        // PHP(8,7) is hopeless for plain DPLL in a test but fine for CDCL.
-        let f = pigeonhole(6);
-        assert_eq!(solve(&f, SolverOptions::default()), Outcome::Unsatisfiable);
     }
 
     #[test]
@@ -874,19 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_limit_aborts() {
-        let f = pigeonhole(7);
-        let out = solve(
-            &f,
-            SolverOptions {
-                max_decisions: Some(3),
-                ..Default::default()
-            },
-        );
-        assert_eq!(out, Outcome::DecisionLimit);
-    }
-
-    #[test]
     fn stats_are_populated() {
         let f = pigeonhole(3);
         let mut solver = Solver::new(&f, SolverOptions::default());
@@ -895,29 +628,21 @@ mod tests {
         assert!(stats.backtracks > 0);
         assert!(stats.decisions > 0);
         assert_eq!(stats.conflicts, stats.backtracks);
-        assert!(stats.learned_clauses > 0, "CDCL must learn on conflicts");
-        assert!(stats.learned_literals >= stats.learned_clauses);
-        assert!(stats.peak_clauses >= f.clause_count());
+        assert!(stats.propagations > 0);
+        assert!(stats.max_level > 0);
+        assert_eq!(stats.peak_clauses, f.clause_count());
     }
 
     #[test]
     fn chronological_mode_learns_nothing() {
         let f = pigeonhole(3);
-        let mut solver = Solver::new(&f, chrono());
+        let mut solver = Solver::new(&f, SolverOptions::default());
         let _ = solver.solve();
         let stats = solver.stats();
         assert!(stats.conflicts > 0);
         assert_eq!(stats.learned_clauses, 0);
         assert_eq!(stats.restarts, 0);
         assert_eq!(stats.peak_clauses, f.clause_count());
-    }
-
-    #[test]
-    fn restarts_fire_on_long_cdcl_runs() {
-        let f = pigeonhole(6); // needs well over 100 conflicts
-        let mut solver = Solver::new(&f, SolverOptions::default());
-        let _ = solver.solve();
-        assert!(solver.stats().restarts > 0);
     }
 
     #[test]
@@ -974,7 +699,7 @@ mod tests {
         let mut f = CnfFormula::new(2);
         f.add_clause([lit(0, true), lit(1, false)]);
         f.add_clause([lit(0, false), lit(1, true)]);
-        for opts in [SolverOptions::default(), chrono()] {
+        for opts in every_heuristic() {
             let mut solver = Solver::new(&f, opts);
             let first = solver.solve();
             let second = solver.solve();
@@ -986,7 +711,7 @@ mod tests {
     #[test]
     fn a_cancelled_token_aborts_both_engines() {
         let f = pigeonhole(6);
-        for opts in [SolverOptions::default(), chrono()] {
+        for opts in every_heuristic() {
             let token = CancelToken::new();
             token.cancel();
             let out = Solver::new(&f, opts).with_cancel(token).solve();
@@ -1043,7 +768,7 @@ mod tests {
     fn an_armed_abort_fault_aborts_both_engines() {
         use modsyn_fault::{FaultPlan, FaultRule};
         let f = pigeonhole(6);
-        for opts in [SolverOptions::default(), chrono()] {
+        for opts in every_heuristic() {
             let faults = FaultPlan::new("t", 1)
                 .rule(FaultRule::at(site::SAT_ABORT))
                 .arm();
@@ -1091,8 +816,8 @@ mod tests {
 
     #[test]
     fn random_3sat_agreement_between_engines() {
-        // Both engines must agree on satisfiability of small random
-        // instances.
+        // The search under every heuristic must agree with the exhaustive
+        // referee on satisfiability of small random instances.
         let mut seed = 0x853c49e6748fea9bu64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -1110,11 +835,13 @@ mod tests {
                 let c = lit((next() % n as u64) as usize, next() % 2 == 0);
                 f.add_clause([a, b, c]);
             }
-            let cdcl = solve(&f, SolverOptions::default());
-            let dpll = solve(&f, chrono());
-            assert_eq!(cdcl.is_sat(), dpll.is_sat(), "round {round}");
-            if let Outcome::Satisfiable(m) = &cdcl {
-                assert!(m.check(&f));
+            let expected = crate::solve_exhaustive(&f).is_sat();
+            for opts in every_heuristic() {
+                let out = solve(&f, opts);
+                assert_eq!(out.is_sat(), expected, "round {round}");
+                if let Outcome::Satisfiable(m) = &out {
+                    assert!(m.check(&f));
+                }
             }
         }
     }

@@ -14,12 +14,12 @@ pub struct SolverStats {
     /// Conflicting clauses encountered (equals `backtracks` today; kept
     /// separate so the semantics survive future non-chronological modes).
     pub conflicts: u64,
-    /// Clauses learned by conflict analysis (CDCL mode only; includes unit
-    /// learns that never enter the clause database).
+    /// Clauses learned by conflict analysis (the `modsyn-cnc` CDCL core
+    /// only; includes unit learns that never enter the clause database).
     pub learned_clauses: u64,
     /// Total literals across all learned clauses (after minimisation).
     pub learned_literals: u64,
-    /// Restarts performed (CDCL mode only).
+    /// Restarts performed (the `modsyn-cnc` CDCL core only).
     pub restarts: u64,
     /// Largest clause-database size reached (problem + learned clauses).
     pub peak_clauses: usize,
